@@ -25,12 +25,9 @@ from .errors import (
 )
 from .kernel_space import (
     Interval,
-    W21Kernel,
     W23Kernel,
-    build_w21_kernel,
     build_w23_kernel,
     eval_kernel,
-    eval_w21_kernel,
     kernel_section,
     w23_inner_product,
 )
@@ -79,16 +76,13 @@ __all__ = [
     "RkhsSolution",
     "SingularityError",
     "ToleranceError",
-    "W21Kernel",
     "W23Kernel",
     "build_basis",
-    "build_w21_kernel",
     "build_w23_kernel",
     "builtin",
     "builtin_examples",
     "error_report",
     "eval_kernel",
-    "eval_w21_kernel",
     "evaluate",
     "gram_matrix",
     "homogenize",

@@ -34,7 +34,6 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .collocation import CollocationBasis, build_basis, uniform_points
 from .errors import (
     ConfigError,
     DomainError,
@@ -47,13 +46,7 @@ from .reference_oracle import integrate
 from .rhs_expr import affine_in
 from .rhs_expr import evaluate as eval_expr
 from .rhs_expr import parse as parse_expr
-from .rkhs_solver import (
-    RkhsSolution,
-    error_report,
-    residual_sup_norm,
-    solve_linear,
-    solve_nonlinear,
-)
+from .rkhs_solver import RkhsSolution, error_report, residual_sup_norm, solve_problem
 
 REPORT_GRID = (0.16, 0.32, 0.48, 0.64, 0.80, 0.96)
 
@@ -192,30 +185,15 @@ def _load_problem(args: argparse.Namespace) -> ProblemSpec:
 # shared solve plumbing
 
 
-def _resolve_method(problem: ProblemSpec, method: str) -> str:
-    if method == "auto":
-        return "linear" if problem.is_linear else "nonlinear"
-    return method
-
-
-def _build_basis(problem: ProblemSpec, n: int) -> CollocationBasis:
-    kernel = build_w23_kernel(problem.interval, cache_size=max(512, 4 * n))
-    return build_basis(kernel, problem.k, uniform_points(problem.interval, n))
-
-
 def _timed_solve(
-    problem: ProblemSpec,
-    basis: CollocationBasis,
-    method: str,
-    sweeps: int,
-    tol: float,
+    problem: ProblemSpec, n: int, args: argparse.Namespace
 ) -> tuple[RkhsSolution, float]:
-    """Solve on a prebuilt basis; the clock covers the solve step only."""
+    """Solve with the command's solver options.
+
+    The clock covers the whole solve, kernel and basis set-up included.
+    """
     start = time.perf_counter()
-    if method == "linear":
-        sol = solve_linear(problem, basis)
-    else:
-        sol = solve_nonlinear(problem, basis, sweeps=sweeps, tol=tol)
+    sol = solve_problem(problem, n=n, method=args.method, sweeps=args.sweeps, tol=args.tol)
     return sol, time.perf_counter() - start
 
 
@@ -323,9 +301,8 @@ def _emit(
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     grid = _parse_grid(args.grid, problem.interval)
-    basis = _build_basis(problem, args.n)
-    method = _resolve_method(problem, args.method)
-    sol, seconds = _timed_solve(problem, basis, method, args.sweeps, args.tol)
+    sol, seconds = _timed_solve(problem, args.n, args)
+    method = sol.method
 
     meta: dict = {"problem": problem.name, "n": args.n, "method": method}
     if problem.exact is not None:
@@ -340,8 +317,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         oracle = integrate(problem, tol=args.oracle_tol)
         rows = []
-        for x in grid:
-            approx = sol(x)
+        for x, approx in zip(grid, sol(np.array(grid)).tolist()):
             ref = oracle.u(x)
             rows.append((x, approx, ref, abs(approx - ref)))
         columns = ORACLE_COLUMNS
@@ -366,12 +342,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
         oracle = integrate(problem, tol=args.oracle_tol)
         reference = oracle.u
 
+    ref = np.array([reference(float(x)) for x in grid])
     rows = []
     for n in ns:
-        basis = _build_basis(problem, n)
-        method = _resolve_method(problem, args.method)
-        sol, seconds = _timed_solve(problem, basis, method, args.sweeps, args.tol)
-        err = max(abs(sol(x) - reference(x)) for x in grid)
+        sol, seconds = _timed_solve(problem, n, args)
+        err = float(np.max(np.abs(sol(grid) - ref)))
         res = residual_sup_norm(sol)
         rows.append((n, err, res, seconds))
 
@@ -386,7 +361,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
                 f"warning: residual sup-norm did not decrease from n={prev[0]} to n={cur[0]}",
                 file=sys.stderr,
             )
-    meta = {"problem": problem.name, "method": _resolve_method(problem, args.method)}
+    meta = {"problem": problem.name, "method": sol.method}
     _emit(args, CONVERGE_COLUMNS, rows, meta)
     return 0
 
@@ -402,20 +377,12 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
         )
     if args.resolution < 2:
         raise ConfigError("resolution must be >= 2")
-    kernel = build_w23_kernel(interval, cache_size=max(512, args.resolution + 8))
+    kernel = build_w23_kernel(interval)
     x = float(args.x)
-    rows = []
-    for y in np.linspace(interval.a, interval.T, args.resolution):
-        y = float(y)
-        rows.append(
-            (
-                y,
-                eval_kernel(kernel, x, y),
-                eval_kernel(kernel, x, y, 1),
-                eval_kernel(kernel, x, y, 2),
-                abs(eval_kernel(kernel, x, y) - eval_kernel(kernel, y, x)),
-            )
-        )
+    ys = np.linspace(interval.a, interval.T, args.resolution)
+    columns = [ys] + [eval_kernel(kernel, x, ys, m) for m in range(3)]
+    columns.append(np.abs(columns[1] - eval_kernel(kernel, ys, x)))
+    rows = list(zip(*(col.tolist() for col in columns)))
     meta = {"a": interval.a, "T": interval.T, "x": x}
     _emit(args, KERNEL_COLUMNS, rows, meta)
     return 0

@@ -2,19 +2,21 @@
 
 For nodes ``x_1 < ... < x_n`` inside ``(a, T]`` the basis functions are the
 operator images ``psi_i(x) = d2/dy2 R_x(y) + (k/x_i) d/dy R_x(y)`` at
-``y = x_i``, where ``R`` is the piecewise-quintic kernel.  Each ``psi_i`` is
-itself a member of the kernel space, so Gram entries are obtained by applying
-the same operator in the base-point slot: with ``c, c', c''`` the kernel
-coefficient vector at ``x_i`` and its exact x-derivatives,
+``y = x_i``, where ``R`` is the piecewise-quintic kernel.  Writing the kernel
+as ``R(x, y) = m(x - a) . C m(y - a)`` on ``y <= x`` (``C^T`` otherwise) and
+letting ``U[i]`` be the operator applied to the monomials ``m(y - a)`` at
+``y = x_i``, every quantity is a matrix product:
 
-    G[i, j] = w(x_j) . (c'' + (k/x_i) c')        (branch by x_j <= x_i)
+    psi_i(x) = m(x - a) . C U[i]          (x_i <= x; C^T otherwise)
+    G[i, j]  = U[j] . C U[i]              (x_i <= x_j)
 
-where ``w(x_j)`` collects the quintic derivative weights of node ``j``.  No
-quadrature and no finite differences enter; the quadrature inner product
-exists only as an independent oracle in the tests.
+so the Gram matrix is the mirrored lower triangle of ``U C U^T`` and the
+basis values at many points are one product each.  No quadrature and no
+finite differences enter; the quadrature inner product exists only as an
+independent oracle in the tests.
 
-Orthonormalization uses the Cholesky factor of the Gram matrix, ``beta =
-C^{-1}``, which agrees with the classical Gram-Schmidt recurrence exactly but
+Orthonormalization uses the Cholesky factor ``L`` of the Gram matrix, ``beta =
+L^{-1}``, which agrees with the classical Gram-Schmidt recurrence exactly but
 stays stable at the node counts the benchmark tables need.
 """
 
@@ -83,13 +85,11 @@ def _require_inside(points: PointSet, interval: Interval) -> None:
         )
 
 
-def _psi_weights(points: np.ndarray, k: float) -> np.ndarray:
-    """Row ``i`` dots a coefficient block into ``psi_i``'s defining operator."""
-    n = points.size
-    W = np.empty((n, 6))
-    for i, xi in enumerate(points):
-        W[i] = quintic_derivative_weights(xi, 2) + (k / xi) * quintic_derivative_weights(xi, 1)
-    return W
+def _operator_rows(points: np.ndarray, k: float, a: float) -> np.ndarray:
+    """``U[i] = (d2/dy2 + (k/x_i) d/dy) m(y - a)`` at ``y = x_i``, shape (n, 6)."""
+    eta = points - a
+    k_over_x = (k / points)[:, None]
+    return quintic_derivative_weights(eta, 2) + k_over_x * quintic_derivative_weights(eta, 1)
 
 
 def psi_eval(kernel: W23Kernel, k: float, x_i: float, x: float) -> float:
@@ -104,25 +104,23 @@ def psi_eval(kernel: W23Kernel, k: float, x_i: float, x: float) -> float:
 
 
 def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
-    """Pairwise inner products of the basis functions, symmetrized."""
+    """Pairwise inner products of the basis functions.
+
+    For ``x_i <= x_j``, ``G[i, j] = U[j] . C U[i]``: the lower triangle of
+    ``U C U^T``, which is mirrored onto the upper one.
+    """
     _require_inside(points, kernel.interval)
-    pts = points.values
-    n = pts.size
-    G = np.empty((n, n))
     # The finiteness check below is the contract for bad inputs (such as an
     # infinite k), so intermediate overflow warnings carry no information.
     with np.errstate(invalid="ignore", over="ignore"):
-        W = _psi_weights(pts, k)
-        for i, xi in enumerate(pts):
-            rows = kernel.coefficient_derivatives(xi)
-            gvec = rows[2] + (k / xi) * rows[1]
-            split = int(np.searchsorted(pts, xi, side="right"))
-            G[i, :split] = W[:split] @ gvec[:6]
-            G[i, split:] = W[split:] @ gvec[6:]
+        U = _operator_rows(points.values, k, kernel.interval.a)
+        G = U @ (kernel.C @ U.T)
+    for i in range(G.shape[0] - 1):
+        G[i, i + 1 :] = G[i + 1 :, i]
     if not np.all(np.isfinite(G)):
         i, j = np.argwhere(~np.isfinite(G))[0]
         raise NumericError(f"non-finite Gram entry at ({int(i) + 1}, {int(j) + 1})")
-    return 0.5 * (G + G.T)
+    return G
 
 
 def orthonormalize(gram: np.ndarray) -> np.ndarray:
@@ -168,33 +166,41 @@ class CollocationBasis:
         beta.setflags(write=False)
         self.gram = gram
         self.beta = beta
-        self._wpsi = _psi_weights(points.values, self.k)
-        self._wpsi.setflags(write=False)
+        U = _operator_rows(points.values, self.k, kernel.interval.a)
+        # psi_i(x) = m(x - a) . left[:, i] when x_i <= x, else . right[:, i].
+        self._left = kernel.C @ U.T
+        self._right = kernel.C.T @ U.T
+        self._left.setflags(write=False)
+        self._right.setflags(write=False)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
-    def psi_values(self, x: float, order: int = 0) -> np.ndarray:
-        """Values of every ``psi_i`` (or an x-derivative) at ``x``."""
+    def psi_values(self, x, order: int = 0) -> np.ndarray:
+        """Values of every ``psi_i`` (or an x-derivative) at ``x``.
+
+        A number ``x`` gives shape ``(n,)``; an array of points gives one row
+        per point, ``out[..., i] = psi_i(x)``.
+        """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"order must be in 0..3, got {order}")
-        cvec = self.kernel.coefficient_derivatives(x)[order]
-        pts = self.points.values
-        split = int(np.searchsorted(pts, x, side="right"))
-        out = np.empty(self.n)
-        out[:split] = self._wpsi[:split] @ cvec[:6]
-        out[split:] = self._wpsi[split:] @ cvec[6:]
+        interval = self.kernel.interval
+        interval.require(x, "evaluation point")
+        x = np.asarray(x, dtype=float)
+        mx = quintic_derivative_weights(x - interval.a, order)
+        out = mx @ self._left
+        np.copyto(out, mx @ self._right, where=self.points.values > x[..., None])
         return out
 
-    def psibar_values(self, x: float, order: int = 0) -> np.ndarray:
+    def psibar_values(self, x, order: int = 0) -> np.ndarray:
         """Values of the orthonormalized functions at ``x``."""
-        return self.beta @ self.psi_values(x, order)
+        return self.psi_values(x, order) @ self.beta.T
 
     @cached_property
     def node_psi_matrix(self) -> np.ndarray:
         """``Psi[j, i] = psi_i(x_j)``."""
-        out = np.vstack([self.psi_values(xj) for xj in self.points])
+        out = self.psi_values(self.points.values)
         out.setflags(write=False)
         return out
 

@@ -1,23 +1,22 @@
-"""Reproducing kernels of the Sobolev-type spaces behind the collocation solver.
+"""Reproducing kernel of the Sobolev-type space behind the collocation solver.
 
-Two spaces appear in the method.  The working space ``W23`` on an interval
-``[a, T]`` consists of functions with absolutely continuous second derivative,
-third derivative in ``L2``, and ``u(a) = u'(a) = 0``; its inner product is
+The working space ``W23`` on an interval ``[a, T]`` consists of functions
+with absolutely continuous second derivative, third derivative in ``L2``,
+and ``u(a) = u'(a) = 0``; its inner product is
 
     <u, v> = sum_{i=0..2} u^(i)(a) v^(i)(a) + integral_a^T u'''(s) v'''(s) ds.
 
-Its reproducing kernel section ``R_x(y)`` is a piecewise quintic in ``y`` with
-a seam at ``y = x``.  The twelve monomial coefficients (six per branch) are
-recovered for each base point ``x`` from a 12x12 linear system expressing the
-boundary conditions at ``a``, the natural conditions at ``T``, continuity of
-orders 0..4 across the seam and a unit jump of the fifth derivative.  Solves
-are LRU-cached per base point, and the first three derivatives of the
-coefficient vector with respect to ``x`` are obtained exactly by
-differentiating the same linear system, which is what the Gram-matrix
-assembly and solution-derivative evaluations rely on.
+Its reproducing kernel has a closed form that does not depend on ``T``.  With
+``s`` and ``t`` the larger and smaller of ``x - a`` and ``y - a``,
 
-The auxiliary first-order space ``W21`` has the closed-form hyperbolic kernel
-``G_x(y) = [cosh(x+y-(a+T)) + cosh(|x-y|+a-T)] / (2 sinh(T-a))``.
+    R(x, y) = (t^5 - 5 s t^4 + 10 s^2 t^3 + 30 s^2 t^2) / 120,
+
+a piecewise quintic with a seam at ``y = x``.  In the monomials ``m(z) = (1,
+z, ..., z^5)`` this reads ``R(x, y) = m(x - a) . C m(y - a)`` on the branch
+``y <= x`` and ``m(x - a) . C^T m(y - a)`` on ``y > x``, for one constant 6x6
+matrix ``C``.  Every kernel quantity the solver needs (sections, their
+derivatives in either slot, operator images at the nodes) is therefore a
+product with ``C`` or ``C^T``.
 """
 
 from __future__ import annotations
@@ -25,23 +24,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import DomainError, NumericError, ToleranceError
+from .errors import DomainError, ToleranceError
 
 __all__ = [
     "Interval",
     "W23Kernel",
-    "W21Kernel",
     "build_w23_kernel",
-    "build_w21_kernel",
     "eval_kernel",
-    "eval_w21_kernel",
     "w23_inner_product",
     "kernel_section",
     "quintic_derivative_weights",
@@ -54,6 +48,8 @@ for _j in range(6):
     _FALL[0, _j] = 1.0
     for _m in range(1, 6):
         _FALL[_m, _j] = _FALL[_m - 1, _j] * (_j - _m + 1)
+
+_POWERS = np.arange(6)
 
 
 @dataclass(frozen=True)
@@ -78,149 +74,95 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.a <= x <= self.T
 
-    def require(self, x: float, what: str = "point") -> None:
-        if not self.contains(x):
-            raise DomainError(f"{what} {x} outside [{self.a}, {self.T}]")
+    def require(self, x, what: str = "point") -> None:
+        """Raise ``DomainError`` unless ``x`` (a number or an array) lies inside."""
+        x = np.asarray(x, dtype=float)
+        outside = ~((self.a <= x) & (x <= self.T))
+        if outside.any():
+            raise DomainError(f"{what} {x[outside].flat[0]} outside [{self.a}, {self.T}]")
 
 
-def quintic_derivative_weights(y: float, order: int) -> np.ndarray:
+def quintic_derivative_weights(y, order: int) -> np.ndarray:
     """Weights of the ``order``-th derivative of ``sum_j c_j y^j`` (j = 0..5).
 
-    Returns the length-6 vector ``w`` with ``w[j] = fall(j, order) *
-    y**(j-order)``, so that ``w @ c`` is the derivative value.
+    Returns ``w`` with ``w[..., j] = fall(j, order) * y**(j-order)``, so that
+    ``w @ c`` is the derivative value; an array ``y`` gains a trailing axis.
     """
-    w = np.zeros(6)
-    for j in range(order, 6):
-        w[j] = _FALL[order, j] * y ** (j - order)
-    return w
+    y = np.asarray(y, dtype=float)[..., None]
+    return _FALL[order] * y ** np.maximum(_POWERS - order, 0)
 
 
+def _closed_form_matrix() -> np.ndarray:
+    C = np.zeros((6, 6))
+    C[2, 2] = 30.0 / 120.0
+    C[2, 3] = 10.0 / 120.0
+    C[1, 4] = -5.0 / 120.0
+    C[0, 5] = 1.0 / 120.0
+    C.setflags(write=False)
+    return C
+
+
+@dataclass(frozen=True)
 class W23Kernel:
     """Reproducing kernel of the third-order space on an interval.
 
-    Instances are immutable after construction and safe to share across
-    threads: the per-base-point coefficient cache is the internally
-    synchronized :func:`functools.lru_cache`.
-
-    Parameters
-    ----------
-    interval : Interval
-        Domain ``[a, T]`` of the space.
-    cache_size : int
-        Number of base points whose coefficient solves are retained.
+    ``C[p, q]`` is the coefficient of ``(x - a)^p (y - a)^q`` in ``R(x, y)``
+    on the branch ``y <= x``; the branch ``y > x`` uses ``C.T``.
     """
 
-    def __init__(self, interval: Interval, cache_size: int = 512):
-        self.interval = interval
-        a, T = interval.a, interval.T
-        rows = np.zeros((6, 12))
-        # Boundary conditions at a act on the left branch (columns 0..5):
-        # value, first derivative, and d2 - d3 all vanish.
-        rows[0, :6] = quintic_derivative_weights(a, 0)
-        rows[1, :6] = quintic_derivative_weights(a, 1)
-        rows[2, :6] = quintic_derivative_weights(a, 2) - quintic_derivative_weights(a, 3)
-        # Natural conditions at T act on the right branch (columns 6..11):
-        # derivatives of orders 3, 4, 5 vanish.
-        rows[3, 6:] = quintic_derivative_weights(T, 3)
-        rows[4, 6:] = quintic_derivative_weights(T, 4)
-        rows[5, 6:] = quintic_derivative_weights(T, 5)
-        self._boundary_rows = rows
-        self._rhs = np.zeros(12)
-        self._rhs[11] = -1.0  # fifth-derivative jump (right minus left) at the seam
-        self._coeffs = lru_cache(maxsize=cache_size)(self._solve_at)
-
-    # -- coefficient access ------------------------------------------------
+    interval: Interval
+    C: ClassVar[np.ndarray] = _closed_form_matrix()
 
     def coefficients(self, x: float) -> np.ndarray:
-        """Monomial coefficients ``[a1..a6, b1..b6]`` of the section at ``x``."""
+        """Coefficients ``[left (y <= x), right (y > x)]`` of the section at ``x``.
+
+        Each block of six multiplies the powers ``(y - a)^0 .. (y - a)^5``.
+        """
         return self.coefficient_derivatives(x)[0]
 
     def coefficient_derivatives(self, x: float) -> np.ndarray:
         """Coefficients and their first three x-derivatives, shape (4, 12).
 
-        Row ``r`` holds ``d^r c / dx^r``.  The rows beyond the zeroth feed the
-        application of the differential operator in the base-point slot
-        (Gram assembly, solution derivatives).
+        Row ``r`` holds ``d^r c / dx^r``.  The result is a fresh read-only
+        array, bit-identical across calls with the same ``x``.
         """
         self.interval.require(x, "base point")
-        return self._coeffs(float(x))
-
-    # -- internals ---------------------------------------------------------
-
-    def _condition_matrix(self, x: float) -> np.ndarray:
-        A = np.zeros((12, 12))
-        A[:6] = self._boundary_rows
-        for m in range(5):
-            w = quintic_derivative_weights(x, m)
-            A[6 + m, :6] = w
-            A[6 + m, 6:] = -w
-        w5 = quintic_derivative_weights(x, 5)
-        A[11, :6] = -w5
-        A[11, 6:] = w5
-        return A
-
-    def _seam_derivative(self, x: float, r: int) -> np.ndarray:
-        """r-th x-derivative of the condition matrix.
-
-        Only the seam rows move with x; differentiating the order-m
-        continuity row once yields the order-(m+1) seam pattern, and rows
-        pushed past order 5 vanish because the branches are quintics.
-        """
-        D = np.zeros((12, 12))
-        for m in range(5):
-            if m + r <= 5:
-                w = quintic_derivative_weights(x, m + r)
-                D[6 + m, :6] = w
-                D[6 + m, 6:] = -w
-        return D
-
-    def _solve_at(self, x: float) -> np.ndarray:
-        A = self._condition_matrix(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(A)
-            except (LinAlgWarning, np.linalg.LinAlgError) as exc:
-                raise NumericError(
-                    f"singular kernel condition system at x={x}"
-                ) from exc
-        c0 = lu_solve(lu, self._rhs)
-        d1 = self._seam_derivative(x, 1)
-        d2 = self._seam_derivative(x, 2)
-        d3 = self._seam_derivative(x, 3)
-        c1 = lu_solve(lu, -(d1 @ c0))
-        c2 = lu_solve(lu, -(d2 @ c0 + 2.0 * (d1 @ c1)))
-        c3 = lu_solve(lu, -(d3 @ c0 + 3.0 * (d2 @ c1) + 3.0 * (d1 @ c2)))
-        out = np.vstack([c0, c1, c2, c3])
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"kernel coefficient solve produced non-finite values at x={x}")
+        rows = np.stack(
+            [quintic_derivative_weights(x - self.interval.a, r) for r in range(4)]
+        )
+        out = np.hstack([rows @ self.C, rows @ self.C.T])
         out.setflags(write=False)
         return out
 
 
-def build_w23_kernel(interval: Interval, cache_size: int = 512) -> W23Kernel:
+def build_w23_kernel(interval: Interval) -> W23Kernel:
     """Construct the piecewise-quintic kernel for ``interval``."""
-    return W23Kernel(interval, cache_size=cache_size)
+    return W23Kernel(interval)
 
 
 def eval_kernel(
     kernel: W23Kernel,
-    x: float,
-    y: float,
+    x,
+    y,
     dy_order: int = 0,
     *,
     branch: str | None = None,
-) -> float:
+):
     """Evaluate ``d^m/dy^m R_x(y)`` for ``m = dy_order`` in 0..5.
 
-    Ties at the seam ``y == x`` use the left (``y <= x``) branch.  ``branch``
-    may force ``"left"`` or ``"right"`` regardless of the tie-break, which the
-    test suite uses to probe seam continuity and the fifth-derivative jump.
+    ``x`` and ``y`` may be numbers (the result is a float) or arrays that
+    broadcast together.  Ties at the seam ``y == x`` use the left
+    (``y <= x``) branch.  ``branch`` may force ``"left"`` or ``"right"``
+    regardless of the tie-break, which the test suite uses to probe seam
+    continuity and the fifth-derivative jump.
     """
     if dy_order not in (0, 1, 2, 3, 4, 5):
         raise ValueError(f"dy_order must be in 0..5, got {dy_order}")
-    kernel.interval.require(x, "base point")
-    kernel.interval.require(y, "evaluation point")
+    interval = kernel.interval
+    interval.require(x, "base point")
+    interval.require(y, "evaluation point")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if branch is None:
         use_left = y <= x
     elif branch == "left":
@@ -229,30 +171,12 @@ def eval_kernel(
         use_left = False
     else:
         raise ValueError(f"branch must be None, 'left' or 'right', got {branch!r}")
-    c = kernel.coefficients(x)
-    block = c[:6] if use_left else c[6:]
-    return float(quintic_derivative_weights(y, dy_order) @ block)
-
-
-@dataclass(frozen=True)
-class W21Kernel:
-    """Closed-form hyperbolic kernel of the first-order space on an interval."""
-
-    interval: Interval
-
-
-def build_w21_kernel(interval: Interval) -> W21Kernel:
-    return W21Kernel(interval)
-
-
-def eval_w21_kernel(kernel: W21Kernel, x: float, y: float) -> float:
-    """Evaluate ``G_x(y)``; symmetric and positive on the interval."""
-    a, T = kernel.interval.a, kernel.interval.T
-    kernel.interval.require(x, "base point")
-    kernel.interval.require(y, "evaluation point")
-    return (math.cosh(x + y - (a + T)) + math.cosh(abs(x - y) + a - T)) / (
-        2.0 * math.sinh(T - a)
-    )
+    mx = quintic_derivative_weights(x - interval.a, 0)
+    my = quintic_derivative_weights(y - interval.a, dy_order)
+    left = ((mx @ kernel.C) * my).sum(axis=-1)
+    right = ((mx @ kernel.C.T) * my).sum(axis=-1)
+    out = np.where(use_left, left, right)
+    return float(out) if out.ndim == 0 else out
 
 
 def kernel_section(kernel: W23Kernel, x: float) -> Callable[[float, int], float]:

@@ -13,7 +13,7 @@ def unit_interval():
 
 @pytest.fixture(scope="session")
 def kernel01(unit_interval):
-    return build_w23_kernel(unit_interval, cache_size=2048)
+    return build_w23_kernel(unit_interval)
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def tabulated_digit_gap(values, printed, decimals):
 
 @pytest.fixture(scope="module")
 def kernel01():
-    return build_w23_kernel(Interval(0.0, 1.0), cache_size=4096)
+    return build_w23_kernel(Interval(0.0, 1.0))
 
 
 @pytest.fixture(scope="module")

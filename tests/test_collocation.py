@@ -177,6 +177,25 @@ class TestGramMatrix:
             want = 6 * x_i + (k / x_i) * 3 * x_i**2
             assert got == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("a, T", [(0.5, 3.0), (1.0, 11.0)])
+    def test_against_quadrature_on_shifted_intervals(self, a, T):
+        interval = Interval(a, T)
+        k = 2.0
+        pts = uniform_points(interval, 4)
+        kernel = build_w23_kernel(interval)
+        gram = gram_matrix(kernel, k, pts)
+        basis = build_basis(kernel, k, pts)
+        nodes = tuple(float(x) for x in pts.values)
+
+        def psi(i):
+            return lambda y, order=0: float(basis.psi_values(y, order)[i])
+
+        scale = np.max(np.abs(gram))
+        for i in range(4):
+            for j in range(4):
+                by_quad = w23_inner_product(psi(i), psi(j), interval, breakpoints=nodes)
+                assert abs(gram[i, j] - by_quad) <= 1e-11 * scale
+
     def test_nonfinite_entries_reported(self, kernel01, unit_interval):
         with pytest.raises(NumericError, match="Gram"):
             gram_matrix(kernel01, math.inf, uniform_points(unit_interval, 3))
@@ -240,6 +259,19 @@ class TestCollocationBasis:
             assert np.allclose(
                 psibar_mat[j], basis.psibar_values(float(xj)), atol=1e-13
             )
+
+    @pytest.mark.parametrize("a, T", [(0.0, 1.0), (0.5, 3.0), (1.0, 11.0)])
+    def test_array_points_match_scalar_path(self, a, T, rng):
+        interval = Interval(a, T)
+        pts = uniform_points(interval, 30)
+        basis = build_basis(build_w23_kernel(interval), 2.0, pts)
+        xs = np.concatenate([rng.uniform(a, T, 40), pts.values, [a, T]])
+        for order in range(4):
+            by_array = basis.psi_values(xs, order)
+            by_point = np.array([basis.psi_values(float(x), order) for x in xs])
+            assert by_array.shape == (xs.size, pts.values.size)
+            scale = np.max(np.abs(by_point))
+            assert np.max(np.abs(by_array - by_point)) <= 1e-14 * scale
 
     def test_orthonormality_by_quadrature(self, kernel01, unit_interval):
         pts = uniform_points(unit_interval, 5)

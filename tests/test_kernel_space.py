@@ -3,21 +3,23 @@
 The kernel on [0,1] has a known closed form on the lower branch,
 R_x(y) = (y^5 - 5xy^4 + 10x^2y^3 + 30x^2y^2)/120 for y <= x, with the
 upper branch following from symmetry.  Everything here is measured
-against that, against hand derivatives of it, or against quadrature.
+against that, against hand derivatives of it, against quadrature, or, on
+shifted and stretched intervals, against the twelve defining conditions
+solved as a linear system inside the test.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkhsivp import (
     DomainError,
     Interval,
-    build_w21_kernel,
     build_w23_kernel,
     eval_kernel,
-    eval_w21_kernel,
     kernel_section,
     w23_inner_product,
 )
@@ -161,6 +163,57 @@ class TestConstructionConditions:
         assert lo == pytest.approx(hi, abs=1e-14)
 
 
+def monomial_row(z, order):
+    """d^order/dz^order of (1, z, ..., z^5), written out independently."""
+    row = np.zeros(6)
+    for j in range(order, 6):
+        row[j] = math.perm(j, order) * z ** (j - order)
+    return row
+
+
+def condition_system_coefficients(xi, length):
+    """Section coefficients at base point a + xi from the defining conditions.
+
+    Unknowns are the left (y <= x) and right (y > x) quintic blocks in
+    powers of eta = y - a.  Rows: value, slope, and second minus third
+    derivative vanish at eta = 0 on the left block; orders 3..5 vanish at
+    eta = T - a on the right block; orders 0..4 are continuous at the seam
+    and the fifth derivative drops by one across it.
+    """
+    A = np.zeros((12, 12))
+    A[0, :6] = monomial_row(0.0, 0)
+    A[1, :6] = monomial_row(0.0, 1)
+    A[2, :6] = monomial_row(0.0, 2) - monomial_row(0.0, 3)
+    for r, order in enumerate((3, 4, 5)):
+        A[3 + r, 6:] = monomial_row(length, order)
+    for order in range(6):
+        A[6 + order, :6] = monomial_row(xi, order)
+        A[6 + order, 6:] = -monomial_row(xi, order)
+    rhs = np.zeros(12)
+    rhs[11] = 1.0
+    return np.linalg.solve(A, rhs)
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        length=st.floats(0.5, 10.0),
+        fx=st.floats(0.0, 1.0),
+        fy=st.floats(0.0, 1.0),
+    )
+    def test_matches_condition_system_and_is_symmetric(self, a, length, fx, fy):
+        kernel = build_w23_kernel(Interval(a, a + length))
+        T = kernel.interval.T
+        x = min(a + fx * length, T)
+        y = min(a + fy * length, T)
+        want = condition_system_coefficients(x - a, T - a)
+        got = kernel.coefficients(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        rxy = eval_kernel(kernel, x, y)
+        assert abs(rxy - eval_kernel(kernel, y, x)) <= 1e-14 * max(1.0, abs(rxy))
+
+
 class TestReproducingProperty:
     CASES = (
         (
@@ -220,32 +273,6 @@ class TestInnerProduct:
         assert w23_inner_product(v, v, unit_interval) == pytest.approx(36.0, abs=1e-9)
 
 
-class TestFirstOrderKernel:
-    def test_pinned_values(self):
-        kernel = build_w21_kernel(Interval(0.0, 1.0))
-        s1 = math.sinh(1.0)
-        assert eval_w21_kernel(kernel, 0.0, 0.0) == pytest.approx(
-            math.cosh(1.0) / s1, abs=1e-13
-        )
-        assert eval_w21_kernel(kernel, 0.0, 1.0) == pytest.approx(1.0 / s1, abs=1e-13)
-
-    def test_symmetry_and_positivity(self):
-        kernel = build_w21_kernel(Interval(0.0, 1.0))
-        xs = np.linspace(0.0, 1.0, 15)
-        for x in xs:
-            for y in xs:
-                g = eval_w21_kernel(kernel, float(x), float(y))
-                assert g > 0.0
-                assert g == pytest.approx(
-                    eval_w21_kernel(kernel, float(y), float(x)), abs=1e-14
-                )
-
-    def test_domain_check(self):
-        kernel = build_w21_kernel(Interval(0.0, 1.0))
-        with pytest.raises(DomainError):
-            eval_w21_kernel(kernel, -0.5, 0.5)
-
-
 class TestEvalKernelContract:
     def test_argument_validation(self, kernel01):
         with pytest.raises(DomainError):
@@ -260,9 +287,11 @@ class TestEvalKernelContract:
     def test_coefficients_are_cached_and_frozen(self, kernel01):
         first = kernel01.coefficient_derivatives(0.413)
         second = kernel01.coefficient_derivatives(0.413)
-        assert first is second
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
+        assert first.shape == (4, 12)
+        assert first.tobytes() == second.tobytes()
+        for rows in (first, second):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
 
     def test_derivative_rows_match_finite_differences(self, kernel01):
         x, h = 0.43, 1e-3

@@ -1,13 +1,16 @@
 """Expression grammar: semantics, round trips, errors, and fuzz."""
 
 import math
+import pathlib
 import random
+import re
 import string
 
 import pytest
 
 from rkhsivp.errors import ExpressionDomainError, ExpressionSyntaxError
 from rkhsivp.rhs_expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Name,
@@ -260,3 +263,13 @@ class TestFuzz:
                 evaluate(tree, 0.7, 1.3)
             except ExpressionDomainError:
                 pass
+
+
+def test_readme_lists_exactly_the_parser_functions():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    match = re.search(r"the functions `([^`]+)`", readme.read_text(encoding="utf-8"))
+    assert match is not None
+    names = [name.strip() for name in match.group(1).split(",")]
+    assert sorted(names) == sorted(FUNCTIONS)
+    for name in names:
+        assert math.isfinite(evaluate(parse(f"{name}(x)"), 0.5, 0.0))

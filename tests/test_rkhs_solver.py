@@ -13,6 +13,7 @@ from rkhsivp import (
     NumericError,
     ProblemSpec,
     build_basis,
+    builtin,
     error_report,
     evaluate,
     residual_sup_norm,
@@ -218,6 +219,17 @@ class TestSolutionObject:
             assert sol(x) == evaluate(sol, x)
             assert sol(x, 1) == evaluate(sol, x, 1)
 
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_array_points_match_scalar_path(self, name, rng):
+        sol = solve_problem(builtin(name), n=40)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 50), sol.basis.points.values])
+        for deriv in (0, 1, 2):
+            by_array = evaluate(sol, xs, deriv)
+            by_point = np.array([evaluate(sol, float(x), deriv) for x in xs])
+            assert by_array.shape == xs.shape
+            scale = np.max(np.abs(by_point))
+            assert np.max(np.abs(by_array - by_point)) <= 1e-14 * scale
+
     def test_derivative_order_validation(self, ex1):
         sol = solve_problem(ex1, n=10)
         sol(0.5, 2)
@@ -263,6 +275,32 @@ class TestResidual:
         r25 = residual_sup_norm(solve_problem(ex1, n=25))
         r50 = residual_sup_norm(solve_problem(ex1, n=50))
         assert r50 < r25
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_vectorized_pass_matches_scalar_path(self, name):
+        problem = builtin(name)
+        sol = solve_problem(problem, n=40)
+        nodes = sol.basis.points.values
+        xs = np.concatenate(
+            [np.arange(1, 201) / 200.0, 0.5 * (np.concatenate([[0.0], nodes[:-1]]) + nodes)]
+        )
+        terms = np.array(
+            [
+                (sol(x, 2), (problem.k / x) * sol(x, 1), -problem.rhs(x, sol(x)))
+                for x in map(float, xs)
+            ]
+        )
+        by_point = float(np.max(np.abs(terms.sum(axis=1))))
+        # The residual cancels terms far larger than itself, so agreement is
+        # measured against the size of those terms.
+        scale = float(np.max(np.abs(terms).sum(axis=1)))
+        assert abs(residual_sup_norm(sol) - by_point) <= 1e-14 * scale
+
+    def test_samples_off_the_nodes(self, ex1):
+        # At n = 200 every grid point a + j (T - a) / 200 is a node, where the
+        # residual vanishes by construction; the node midpoints still see it.
+        residuals = [residual_sup_norm(solve_problem(ex1, n=n)) for n in (100, 200, 400)]
+        assert residuals[0] > residuals[1] > residuals[2] > 1e-3
 
     def test_callable_needs_problem(self, ex1):
         with pytest.raises(ValueError):
