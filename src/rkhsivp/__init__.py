@@ -10,7 +10,6 @@ from .collocation import (
     build_basis,
     gram_matrix,
     orthonormalize,
-    psi_eval,
     uniform_points,
 )
 from .errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "integrate",
     "kernel_section",
     "orthonormalize",
-    "psi_eval",
     "regularized_rhs",
     "residual_sup_norm",
     "solve_linear",

@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from .collocation import uniform_points
 from .errors import (
     ConfigError,
     DomainError,
@@ -238,11 +239,6 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _measure_grid(interval: Interval, m: int = 200) -> np.ndarray:
-    j = np.arange(1, m + 1, dtype=float)
-    return interval.a + j * interval.length / m
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -335,7 +331,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     ns = _parse_n_list(args.n_list)
-    grid = _measure_grid(problem.interval)
+    grid = uniform_points(problem.interval, 200).values
     if problem.exact is not None:
         reference: Callable[[float], float] = problem.exact.u
     else:

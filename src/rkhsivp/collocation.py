@@ -15,9 +15,10 @@ basis values at many points are one product each.  No quadrature and no
 finite differences enter; the quadrature inner product exists only as an
 independent oracle in the tests.
 
-Orthonormalization uses the Cholesky factor ``L`` of the Gram matrix, ``beta =
-L^{-1}``, which agrees with the classical Gram-Schmidt recurrence exactly but
-stays stable at the node counts the benchmark tables need.
+The basis keeps the Cholesky factor ``G = L L^T`` and never inverts it: the
+orthonormal system is ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
+recurrence, but stable at the node counts the benchmark tables need), and
+each product with ``L^{-1}`` the solvers need is a triangular solve.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import solve_triangular
 
-from .errors import DomainError, NumericError, SingularityError
-from .kernel_space import Interval, W23Kernel, eval_kernel, quintic_derivative_weights
+from .errors import DomainError, NumericError
+from .kernel_space import Interval, W23Kernel, quintic_derivative_weights
 
 __all__ = [
     "PointSet",
     "CollocationBasis",
     "uniform_points",
-    "psi_eval",
     "gram_matrix",
     "orthonormalize",
     "build_basis",
@@ -74,8 +74,9 @@ def uniform_points(interval: Interval, n: int) -> PointSet:
     if n < 1:
         raise ValueError("n must be >= 1")
     a, T = interval.a, interval.T
-    i = np.arange(1, n + 1, dtype=float)
-    return PointSet(a + i * (T - a) / n)
+    x = a + np.arange(1, n + 1, dtype=float) * (T - a) / n
+    x[-1] = T  # a + n (T - a) / n can round above T
+    return PointSet(x)
 
 
 def _require_inside(points: PointSet, interval: Interval) -> None:
@@ -90,17 +91,6 @@ def _operator_rows(points: np.ndarray, k: float, a: float) -> np.ndarray:
     eta = points - a
     k_over_x = (k / points)[:, None]
     return quintic_derivative_weights(eta, 2) + k_over_x * quintic_derivative_weights(eta, 1)
-
-
-def psi_eval(kernel: W23Kernel, k: float, x_i: float, x: float) -> float:
-    """Evaluate ``psi`` for node ``x_i`` at the point ``x``."""
-    if x_i <= kernel.interval.a:
-        raise SingularityError(
-            f"node {x_i} must be strictly greater than a = {kernel.interval.a}"
-        )
-    d2 = eval_kernel(kernel, x, x_i, 2)
-    d1 = eval_kernel(kernel, x, x_i, 1)
-    return d2 + (k / x_i) * d1
 
 
 def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
@@ -123,25 +113,28 @@ def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
     return G
 
 
-def orthonormalize(gram: np.ndarray) -> np.ndarray:
-    """Lower-triangular ``beta`` with ``beta @ gram @ beta.T = I``.
-
-    Computed as the inverse Cholesky factor; the diagonal is positive.
-    """
-    gram = np.asarray(gram, dtype=float)
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L @ L.T = gram`` and a positive diagonal."""
     try:
-        chol = scipy.linalg.cholesky(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(np.asarray(gram, dtype=float))
+    except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"Gram matrix is not positive definite ({exc}); "
             "reduce the node count or check for repeated nodes"
         ) from exc
-    beta = scipy.linalg.solve_triangular(chol, np.eye(gram.shape[0]), lower=True)
-    return beta
+
+
+def orthonormalize(gram: np.ndarray) -> np.ndarray:
+    """Lower-triangular ``beta`` with ``beta @ gram @ beta.T = I``.
+
+    Computed as the inverse Cholesky factor; the diagonal is positive.  The
+    solvers never form it; it serves the orthonormality checks.
+    """
+    return solve_triangular(_cholesky(gram), np.eye(len(gram)), lower=True)
 
 
 class CollocationBasis:
-    """Kernel, nodes, Gram matrix and orthonormalizing coefficients.
+    """Kernel, nodes, Gram matrix and its Cholesky factor.
 
     Immutable after construction; all returned arrays are read-only views of
     internal state.  ``psi_values`` supports derivative orders 0..3 in the
@@ -155,17 +148,17 @@ class CollocationBasis:
         k: float,
         points: PointSet,
         gram: np.ndarray,
-        beta: np.ndarray,
+        chol: np.ndarray,
     ):
         self.kernel = kernel
         self.k = float(k)
         self.points = points
         gram = np.asarray(gram, dtype=float).copy()
-        beta = np.asarray(beta, dtype=float).copy()
+        chol = np.asarray(chol, dtype=float).copy()
         gram.setflags(write=False)
-        beta.setflags(write=False)
+        chol.setflags(write=False)
         self.gram = gram
-        self.beta = beta
+        self.chol = chol
         U = _operator_rows(points.values, self.k, kernel.interval.a)
         # psi_i(x) = m(x - a) . left[:, i] when x_i <= x, else . right[:, i].
         self._left = kernel.C @ U.T
@@ -193,6 +186,13 @@ class CollocationBasis:
         np.copyto(out, mx @ self._right, where=self.points.values > x[..., None])
         return out
 
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """``L^{-1}``, so that ``psibar = beta psi``; built only on request."""
+        out = solve_triangular(self.chol, np.eye(self.n), lower=True)
+        out.setflags(write=False)
+        return out
+
     def psibar_values(self, x, order: int = 0) -> np.ndarray:
         """Values of the orthonormalized functions at ``x``."""
         return self.psi_values(x, order) @ self.beta.T
@@ -206,14 +206,13 @@ class CollocationBasis:
 
     @cached_property
     def node_psibar_matrix(self) -> np.ndarray:
-        """``S[j, i] = psibar_i(x_j)``."""
-        out = self.node_psi_matrix @ self.beta.T
+        """``S[j, i] = psibar_i(x_j)``, i.e. ``S = Psi L^{-T}``."""
+        out = solve_triangular(self.chol, self.node_psi_matrix.T, lower=True).T
         out.setflags(write=False)
         return out
 
 
 def build_basis(kernel: W23Kernel, k: float, points: PointSet) -> CollocationBasis:
-    """Assemble Gram matrix and orthonormalization for the given nodes."""
+    """Assemble the Gram matrix for the given nodes and factor it."""
     gram = gram_matrix(kernel, k, points)
-    beta = orthonormalize(gram)
-    return CollocationBasis(kernel, k, points, gram, beta)
+    return CollocationBasis(kernel, k, points, gram, _cholesky(gram))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, ToleranceError
 
@@ -208,6 +207,9 @@ def w23_inner_product(
     to the quadrature so piecewise integrands do not degrade convergence.
     This routine is a test-suite oracle; the solver itself never integrates.
     """
+    # scipy.integrate is slow to import and only this oracle uses it.
+    from scipy.integrate import IntegrationWarning, quad
+
     a, T = interval.a, interval.T
     head = sum(u(a, i) * v(a, i) for i in range(3))
 

@@ -107,9 +107,6 @@ class HomogenizedProblem:
         b = self.base
         return b.alpha + b.beta * (x - b.interval.a)
 
-    def shift_derivative(self) -> float:
-        return self.base.beta
-
     def rhs(self, x: float, v: float) -> float:
         b = self.base
         slope_term = 0.0 if b.beta == 0.0 else (b.k / x) * b.beta

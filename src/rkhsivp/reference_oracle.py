@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ExpressionDomainError, NumericError, SingularityError
 from .problem_model import ProblemSpec
@@ -94,6 +93,9 @@ def integrate(
     samples: int = 513,
 ) -> OracleTrajectory:
     """Integrate ``problem`` over its interval with local error bound ``tol``."""
+    # scipy.integrate is slow to import and only this oracle uses it.
+    from scipy.integrate import solve_ivp
+
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if samples < 2:
@@ -108,9 +110,7 @@ def integrate(
     def rhs(x, y):
         try:
             return [y[1], regularized_rhs(problem, x, y[0], y[1])]
-        except ExpressionDomainError as exc:
-            raise DomainError(f"right-hand side domain error at x={x}: {exc}") from exc
-        except ValueError as exc:
+        except (ExpressionDomainError, ValueError) as exc:
             raise DomainError(f"right-hand side domain error at x={x}: {exc}") from exc
 
     sol = solve_ivp(

@@ -1,11 +1,13 @@
-"""Series solver in the orthonormalized collocation basis.
+"""Series solver in the collocation basis.
 
-The homogenized unknown is expanded as ``v_n(x) = sum_i A_i psibar_i(x)``.
-For an affine right-hand side ``g(x) + q(x) v`` the nodal values solve one
-dense linear system and the coefficients follow directly.  Otherwise a single
-forward sweep computes the coefficients in node order, evaluating the
-right-hand side at the running partial sums; optional further sweeps re-feed
-the previous full solution until the nodal values settle.
+The homogenized unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
+with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
+the Gram matrix; no inverse of ``L`` is formed.  For an affine right-hand
+side ``g(x) + q(x) v`` collocation is one LU solve of ``(G - diag(q) Psi)
+gamma = g``.  Otherwise a single forward sweep computes ``A`` in node order by
+forward substitution with ``L``, evaluating the right-hand side at the
+running partial sums; optional further sweeps re-feed the previous full
+solution until the nodal values settle.
 
 Evaluation undoes the homogenization shift, so solutions report the original
 unknown and satisfy the initial data at ``a`` to floating-point accuracy.
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .collocation import CollocationBasis, build_basis, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
@@ -38,29 +41,32 @@ __all__ = [
 
 
 class RkhsSolution:
-    """Truncated series solution; immutable, callable as ``sol(x, deriv)``."""
+    """Truncated series solution; immutable, callable as ``sol(x, deriv)``.
+
+    ``gamma`` are the coefficients of the ``psi_i``; ``coefficients`` those of
+    the orthonormal ``psibar_i``, ``A = L^T gamma``.
+    """
 
     def __init__(
         self,
         basis: CollocationBasis,
         problem: ProblemSpec,
-        coefficients: np.ndarray,
+        gamma: np.ndarray,
         method: str,
         sweeps_used: int = 1,
         final_change: Optional[float] = None,
     ):
-        coefficients = np.asarray(coefficients, dtype=float).copy()
+        gamma = np.asarray(gamma, dtype=float).copy()
+        coefficients = basis.chol.T @ gamma
+        gamma.setflags(write=False)
         coefficients.setflags(write=False)
         self.basis = basis
         self.problem = problem
+        self.gamma = gamma
         self.coefficients = coefficients
         self.method = method
         self.sweeps_used = sweeps_used
         self.final_change = final_change
-        # Collapse the double sum once: u part = gamma . psi-values.
-        gamma = basis.beta.T @ coefficients
-        gamma.setflags(write=False)
-        self._gamma = gamma
 
     @property
     def n(self) -> int:
@@ -79,9 +85,8 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
     p = sol.problem
-    p.interval.require(x, "evaluation point")
     x = np.asarray(x, dtype=float)
-    out = sol.basis.psi_values(x, deriv) @ sol._gamma
+    out = sol.basis.psi_values(x, deriv) @ sol.gamma
     if deriv == 0:
         out = out + (p.alpha + p.beta * (x - p.interval.a))
     elif deriv == 1:
@@ -95,12 +100,7 @@ def _rhs_at_node(
     """Homogenized right-hand side with node-referenced domain reporting."""
     try:
         value = hom.rhs(x, v)
-    except ExpressionDomainError as exc:
-        raise DomainError(
-            f"right-hand side domain error at node {index + 1}, "
-            f"x={x}, u={v + hom.shift(x)}: {exc}"
-        ) from exc
-    except ValueError as exc:
+    except (ExpressionDomainError, ValueError) as exc:
         raise DomainError(
             f"right-hand side domain error at node {index + 1}, "
             f"x={x}, u={v + hom.shift(x)}: {exc}"
@@ -115,9 +115,9 @@ def _rhs_at_node(
 def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     """Direct solve for problems with an explicit affine right-hand side.
 
-    Nodal values satisfy ``(I - M diag(q)) V = M g`` with ``M[j, l] =
-    sum_i psibar_i(x_j) beta[i, l]``; the series coefficients are ``beta @
-    (g + q V)``.
+    With ``v = sum_i gamma_i psi_i`` the collocation conditions ``(L v)(x_j)
+    = g(x_j) + q(x_j) v(x_j)`` read ``(G - diag(q) Psi) gamma = g``, where
+    ``Psi[j, i] = psi_i(x_j)``: one LU solve, with no orthonormalization.
     """
     aff_base = problem.affine
     if aff_base is None:
@@ -125,21 +125,18 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     hom = homogenize(problem)
     aff = hom.affine
     pts = basis.points.values
-    n = basis.n
     gv = np.array([aff.g(x) for x in pts])
     qv = np.array([aff.q(x) for x in pts])
-    M = basis.node_psibar_matrix @ basis.beta
-    K = np.eye(n) - M * qv[None, :]
+    K = basis.gram - qv[:, None] * basis.node_psi_matrix
     try:
-        V = np.linalg.solve(K, M @ gv)
+        gamma = np.linalg.solve(K, gv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"nodal system is singular (cond ~ {np.linalg.cond(K):.3e})"
+            f"collocation system is singular (cond ~ {np.linalg.cond(K):.3e})"
         ) from exc
-    if not np.all(np.isfinite(V)):
-        raise NumericError("nodal solve produced non-finite values")
-    coeffs = basis.beta @ (gv + qv * V)
-    return RkhsSolution(basis, problem, coeffs, method="linear")
+    if not np.all(np.isfinite(gamma)):
+        raise NumericError("collocation solve produced non-finite values")
+    return RkhsSolution(basis, problem, gamma, method="linear")
 
 
 def solve_nonlinear(
@@ -151,19 +148,19 @@ def solve_nonlinear(
 ) -> RkhsSolution:
     """Sequential forward sweep for general right-hand sides.
 
-    The first sweep follows the node order: the coefficient of basis function
-    ``i`` uses the right-hand side evaluated at the partial sums built so
-    far, seeded by ``initial`` (the original unknown; defaults to the
-    homogenization shift, i.e. a zero homogenized iterate).  Additional
-    sweeps re-evaluate the right-hand side at the previous sweep's full
-    nodal values and stop once the largest nodal change is at most ``tol``.
+    The first sweep solves ``L A = f`` row by row in node order, with ``f_l``
+    the right-hand side at the partial sum built so far, seeded by ``initial``
+    (the original unknown; defaults to the homogenization shift, i.e. a zero
+    homogenized iterate).  Additional sweeps re-evaluate ``f`` at the previous
+    sweep's full nodal values, solve ``L A = f`` and stop once the largest
+    nodal change is at most ``tol``.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     hom = homogenize(problem)
     pts = basis.points.values
     n = basis.n
-    beta = basis.beta
+    L = basis.chol
     S = basis.node_psibar_matrix
 
     if initial is None:
@@ -176,7 +173,7 @@ def solve_nonlinear(
     for l in range(n):
         varg = v0[l] if l == 0 else float(S[l, :l] @ A[:l])
         f[l] = _rhs_at_node(hom, l, pts[l], varg)
-        A[l] = float(beta[l, : l + 1] @ f[: l + 1])
+        A[l] = (f[l] - float(L[l, :l] @ A[:l])) / L[l, l]
     if not np.all(np.isfinite(A)):
         raise NumericError("forward sweep produced non-finite coefficients")
 
@@ -185,7 +182,7 @@ def solve_nonlinear(
     V = S @ A
     for _ in range(1, sweeps):
         f = np.array([_rhs_at_node(hom, l, pts[l], V[l]) for l in range(n)])
-        A_next = beta @ f
+        A_next = solve_triangular(L, f, lower=True)
         if not np.all(np.isfinite(A_next)):
             raise NumericError("sweep produced non-finite coefficients")
         V_next = S @ A_next
@@ -197,7 +194,7 @@ def solve_nonlinear(
     return RkhsSolution(
         basis,
         problem,
-        A,
+        solve_triangular(L, A, lower=True, trans="T"),
         method="nonlinear",
         sweeps_used=sweeps_used,
         final_change=final_change,
@@ -249,8 +246,8 @@ def residual_sup_norm(
         raise ValueError("m must be >= 1")
     if not callable(sol):  # pragma: no cover - RkhsSolution is callable
         raise ValueError("sol must be callable")
-    a, T = problem.interval.a, problem.interval.T
-    xs = a + np.arange(1, m + 1) * (T - a) / m
+    a = problem.interval.a
+    xs = uniform_points(problem.interval, m).values
     if isinstance(sol, RkhsSolution):
         nodes = sol.basis.points.values
         xs = np.concatenate([xs, 0.5 * (np.concatenate([[a], nodes[:-1]]) + nodes)])

@@ -273,6 +273,20 @@ class TestConverge:
         assert float(rows[1][2]) < float(rows[0][2])
         assert "warning" not in err
 
+    @pytest.mark.parametrize("k, rhs", [(0, "2"), (2, "6")])
+    def test_interval_whose_grid_rounds_past_T(self, capsys, tmp_path, k, rhs):
+        # On [-2, 0.7], a + n (T - a) / n exceeds T for most n; nodes and
+        # measurement grid must still end at T.
+        path = write_config(
+            tmp_path, name="parabola", k=k, a=-2, T=0.7, alpha=4, beta=-4,
+            rhs=rhs, exact="x^2",
+        )
+        code, out, err = run(capsys, "converge", "--config", path, "--n-list", "5,100,400")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        errors = [float(r[1]) for r in rows]
+        assert errors[0] > errors[1] > errors[2]
+
     def test_json_meta(self, capsys):
         code, out, _ = run(
             capsys, "converge", "--problem", "ex1", "--n-list", "10",

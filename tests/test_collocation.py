@@ -14,13 +14,11 @@ from rkhsivp import (
     DomainError,
     Interval,
     NumericError,
-    SingularityError,
     build_basis,
     build_w23_kernel,
     eval_kernel,
     gram_matrix,
     orthonormalize,
-    psi_eval,
     uniform_points,
     w23_inner_product,
 )
@@ -73,6 +71,12 @@ class TestUniformPoints:
     def test_single_point(self, unit_interval):
         assert uniform_points(unit_interval, 1).values.tolist() == [1.0]
 
+    def test_last_node_is_right_endpoint(self):
+        # a + n (T - a) / n rounds above T = 0.7 for most n on [-2, 0.7].
+        interval = Interval(-2.0, 0.7)
+        for n in range(1, 2001):
+            assert uniform_points(interval, n).values[-1] == 0.7
+
 
 class TestPointSet:
     def test_validation(self):
@@ -98,36 +102,41 @@ class TestPointSet:
 
 
 class TestPsiEval:
+    """``CollocationBasis.psi_values`` against the kernel it is built from."""
+
     def test_pinned_value(self, kernel01):
         # Hand-derived from the closed form on the upper branch at
         # x=0.25, x_i=0.5, k=2: d2 = (20x^3+60x^2)/120 and
         # d1 = (-5x^4+20yx^3+60yx^2)/120 at y=x_i.
-        got = psi_eval(kernel01, 2.0, 0.5, 0.25)
-        assert got == pytest.approx(0.1009114583333333, abs=1e-10)
+        basis = build_basis(kernel01, 2.0, PointSet([0.5]))
+        assert basis.psi_values(0.25)[0] == pytest.approx(0.1009114583333333, abs=1e-10)
 
     def test_matches_kernel_derivatives(self, kernel01, rng):
         k = 2.0
-        for _ in range(10):
-            x_i = float(rng.uniform(0.05, 1.0))
-            x = float(rng.uniform(0.0, 1.0))
-            direct = eval_kernel(kernel01, x, x_i, 2) + (k / x_i) * eval_kernel(
-                kernel01, x, x_i, 1
-            )
-            assert psi_eval(kernel01, k, x_i, x) == pytest.approx(direct, rel=1e-13)
+        nodes = np.sort(rng.uniform(0.05, 1.0, 10))
+        basis = build_basis(kernel01, k, PointSet(nodes))
+        for x in rng.uniform(0.0, 1.0, 10):
+            got = basis.psi_values(float(x))
+            for i, x_i in enumerate(map(float, nodes)):
+                direct = eval_kernel(kernel01, x, x_i, 2) + (k / x_i) * eval_kernel(
+                    kernel01, x, x_i, 1
+                )
+                assert got[i] == pytest.approx(direct, rel=1e-13)
 
     def test_vanishes_at_origin_section(self, kernel01):
-        for x_i in (0.1, 0.5, 1.0):
-            assert abs(psi_eval(kernel01, 2.0, x_i, 0.0)) <= 1e-12
+        basis = build_basis(kernel01, 2.0, PointSet([0.1, 0.5, 1.0]))
+        assert np.all(np.abs(basis.psi_values(0.0)) <= 1e-12)
 
     def test_node_at_singularity_rejected(self, kernel01):
-        with pytest.raises(SingularityError):
-            psi_eval(kernel01, 2.0, 0.0, 0.5)
-        with pytest.raises(SingularityError):
-            psi_eval(kernel01, 2.0, -0.1, 0.5)
+        with pytest.raises(DomainError, match="collocation nodes"):
+            build_basis(kernel01, 2.0, PointSet([0.0, 0.5]))
+        with pytest.raises(DomainError, match="collocation nodes"):
+            build_basis(kernel01, 2.0, PointSet([-0.1, 0.5]))
 
     def test_reduces_to_second_derivative_for_k_zero(self, kernel01):
         x_i, x = 0.4, 0.7
-        assert psi_eval(kernel01, 0.0, x_i, x) == pytest.approx(
+        basis = build_basis(kernel01, 0.0, PointSet([x_i]))
+        assert basis.psi_values(x)[0] == pytest.approx(
             eval_kernel(kernel01, x, x_i, 2), rel=1e-14
         )
 

@@ -112,14 +112,12 @@ class TestHomogenize:
     def test_identity_when_data_is_zero(self, ex1):
         hom = homogenize(ex1)
         assert hom.shift(0.0) == 0.0 and hom.shift(0.7) == 0.0
-        assert hom.shift_derivative() == 0.0
         for x, v in ((0.3, 0.1), (0.9, -2.0)):
             assert hom.rhs(x, v) == ex1.rhs(x, v)
 
     def test_constant_shift(self, ex3):
         hom = homogenize(ex3)
         assert hom.shift(0.0) == 1.0 and hom.shift(1.0) == 1.0
-        assert hom.shift_derivative() == 0.0
         # The operator annihilates constants, so only the argument shifts.
         assert hom.rhs(0.5, -0.2) == pytest.approx(ex3.rhs(0.5, 0.8), rel=1e-14)
 
@@ -150,7 +148,6 @@ class TestHomogenize:
         )
         hom = homogenize(problem)
         assert hom.shift(1.0) == -3.0
-        assert hom.shift_derivative() == 0.5
 
     def test_affine_pieces_carry_over(self, ex1):
         hom = homogenize(ex1)

@@ -1,10 +1,14 @@
 """Solver behavior: linear path, sweep iteration, evaluation, reports."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rkhsivp
 from rkhsivp import (
     AffineRhs,
     DomainError,
@@ -16,6 +20,8 @@ from rkhsivp import (
     builtin,
     error_report,
     evaluate,
+    homogenize,
+    orthonormalize,
     residual_sup_norm,
     solve_linear,
     solve_nonlinear,
@@ -190,6 +196,94 @@ class TestNonlinearSweeps:
         basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 5))
         with pytest.raises(NumericError):
             solve_nonlinear(problem, basis)
+
+
+def shifted_affine_problem():
+    """Affine problem on [1, 11] with non-constant q and non-zero initial data."""
+    return ProblemSpec(
+        name="shifted-affine",
+        k=1.0,
+        interval=Interval(1.0, 11.0),
+        alpha=1.0,
+        beta=0.5,
+        rhs=lambda x, u: math.cos(x) - 0.1 * x * u,
+        affine=AffineRhs(g=math.cos, q=lambda x: -0.1 * x),
+    )
+
+
+def nodal_values_by_inverse(problem, basis):
+    """The explicit-inverse formulation: ``(I - M diag(q)) V = M g``.
+
+    ``M = S beta`` with ``S = Psi beta^T`` and ``beta = L^{-1}`` from
+    ``orthonormalize``; returns the original unknown at the nodes.
+    """
+    hom = homogenize(problem)
+    pts = basis.points.values
+    g = np.array([hom.affine.g(x) for x in pts])
+    q = np.array([hom.affine.q(x) for x in pts])
+    beta = orthonormalize(basis.gram)
+    M = basis.node_psi_matrix @ beta.T @ beta
+    V = np.linalg.solve(np.eye(pts.size) - M * q[None, :], M @ g)
+    return V + np.array([hom.shift(x) for x in pts])
+
+
+def first_sweep_by_inverse(problem, basis):
+    """The first sweep as ``A_l = (beta f)_l``, ``f`` at the partial sums."""
+    hom = homogenize(problem)
+    pts = basis.points.values
+    beta = orthonormalize(basis.gram)
+    S = basis.node_psi_matrix @ beta.T
+    A = np.zeros(pts.size)
+    f = np.empty(pts.size)
+    for l in range(pts.size):
+        f[l] = hom.rhs(pts[l], 0.0 if l == 0 else float(S[l, :l] @ A[:l]))
+        A[l] = float(beta[l, : l + 1] @ f[: l + 1])
+    return A
+
+
+class TestFactoredSolve:
+    """The solvers use the Cholesky factor only; the inverse is an oracle."""
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize(
+        "problem", [builtin("ex1"), shifted_affine_problem()], ids=["ex1", "shifted"]
+    )
+    def test_linear_matches_inverse_formulation(self, problem, n):
+        sol = solve_problem(problem, n=n)
+        want = nodal_values_by_inverse(problem, sol.basis)
+        got = evaluate(sol, sol.basis.points.values)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    def test_first_sweep_matches_inverse_formulation(self, name, n):
+        problem = builtin(name)
+        sol = solve_problem(problem, n=n)
+        want = first_sweep_by_inverse(problem, sol.basis)
+        # Both sides carry rounding of order cond(L) eps; cond(L), the square
+        # root of cond(G), is about 3e3 at n = 400.
+        assert np.max(np.abs(sol.coefficients - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    def test_solve_never_forms_the_inverse(self, name):
+        sol = solve_problem(builtin(name), n=30)
+        assert sol.method == ("linear" if name == "ex1" else "nonlinear")
+        assert "chol" in vars(sol.basis)
+        assert "beta" not in vars(sol.basis)
+
+
+def test_solve_does_not_import_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(rkhsivp.__file__))
+    code = (
+        "import sys, rkhsivp\n"
+        "rkhsivp.solve_problem(rkhsivp.builtin('ex1'))\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSolveProblem:
