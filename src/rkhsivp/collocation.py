@@ -18,7 +18,7 @@ independent oracle in the tests.
 The basis keeps the Cholesky factor ``G = L L^T`` and never inverts it: the
 orthonormal system is ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
 recurrence, but stable at the node counts the benchmark tables need), and
-each product with ``L^{-1}`` the solvers need is a triangular solve.
+each product with ``L^{-1}`` is a blocked substitution (:func:`solve_lower`).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, SingularityError
 from .kernel_space import Interval, W23Kernel, quintic_derivative_weights
 
 __all__ = [
@@ -39,7 +38,11 @@ __all__ = [
     "gram_matrix",
     "orthonormalize",
     "build_basis",
+    "solve_lower",
 ]
+
+# Width of the diagonal blocks in solve_lower.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,23 @@ def _require_inside(points: PointSet, interval: Interval) -> None:
         )
 
 
+def _require_regular(points: PointSet, k: float) -> None:
+    """Reject a node at ``x = 0`` (possible when ``a < 0 < T``) unless ``k = 0``."""
+    if k != 0.0:
+        at_zero = np.flatnonzero(points.values == 0.0)
+        if at_zero.size:
+            raise SingularityError(
+                f"collocation node {int(at_zero[0]) + 1} is x = 0, where k/x is singular"
+            )
+
+
 def _operator_rows(points: np.ndarray, k: float, a: float) -> np.ndarray:
     """``U[i] = (d2/dy2 + (k/x_i) d/dy) m(y - a)`` at ``y = x_i``, shape (n, 6)."""
     eta = points - a
-    k_over_x = (k / points)[:, None]
-    return quintic_derivative_weights(eta, 2) + k_over_x * quintic_derivative_weights(eta, 1)
+    rows = quintic_derivative_weights(eta, 2)
+    if k != 0.0:
+        rows += (k / points)[:, None] * quintic_derivative_weights(eta, 1)
+    return rows
 
 
 def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
@@ -100,6 +115,7 @@ def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
     ``U C U^T``, which is mirrored onto the upper one.
     """
     _require_inside(points, kernel.interval)
+    _require_regular(points, k)
     # The finiteness check below is the contract for bad inputs (such as an
     # infinite k), so intermediate overflow warnings carry no information.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -124,13 +140,41 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def solve_lower(L: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``X`` with ``L X = B`` (or ``L^T X = B`` when ``trans``), ``L`` lower.
+
+    Blocked substitution: each diagonal block of ``_BLOCK`` rows is solved
+    with ``np.linalg.solve`` after one matrix product removes the part of
+    ``B`` already accounted for by the solved blocks.  ``B`` may be a vector
+    or a matrix; ``X`` has its shape.
+    """
+    X = np.array(B, dtype=float)
+    n = L.shape[0]
+    starts = range(0, n, _BLOCK)
+    for j0 in reversed(starts) if trans else starts:
+        j1 = min(j0 + _BLOCK, n)
+        if trans:
+            X[j0:j1] -= L[j1:, j0:j1].T @ X[j1:]
+            X[j0:j1] = np.linalg.solve(L[j0:j1, j0:j1].T, X[j0:j1])
+        else:
+            X[j0:j1] -= L[j0:j1, :j0] @ X[:j0]
+            X[j0:j1] = np.linalg.solve(L[j0:j1, j0:j1], X[j0:j1])
+    return X
+
+
 def orthonormalize(gram: np.ndarray) -> np.ndarray:
     """Lower-triangular ``beta`` with ``beta @ gram @ beta.T = I``.
 
     Computed as the inverse Cholesky factor; the diagonal is positive.  The
     solvers never form it; it serves the orthonormality checks.
     """
-    return solve_triangular(_cholesky(gram), np.eye(len(gram)), lower=True)
+    return _inverse_lower(_cholesky(gram))
+
+
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    # The pivoted block solves leave rounding-level values above the
+    # diagonal, where L^{-1} is zero.
+    return np.tril(solve_lower(L, np.eye(len(L))))
 
 
 class CollocationBasis:
@@ -189,7 +233,7 @@ class CollocationBasis:
     @cached_property
     def beta(self) -> np.ndarray:
         """``L^{-1}``, so that ``psibar = beta psi``; built only on request."""
-        out = solve_triangular(self.chol, np.eye(self.n), lower=True)
+        out = _inverse_lower(self.chol)
         out.setflags(write=False)
         return out
 
@@ -207,7 +251,7 @@ class CollocationBasis:
     @cached_property
     def node_psibar_matrix(self) -> np.ndarray:
         """``S[j, i] = psibar_i(x_j)``, i.e. ``S = Psi L^{-T}``."""
-        out = solve_triangular(self.chol, self.node_psi_matrix.T, lower=True).T
+        out = solve_lower(self.chol, self.node_psi_matrix.T).T
         out.setflags(write=False)
         return out
 

@@ -75,6 +75,8 @@ class Interval:
 
     def require(self, x, what: str = "point") -> None:
         """Raise ``DomainError`` unless ``x`` (a number or an array) lies inside."""
+        if isinstance(x, (float, np.floating)) and self.a <= x <= self.T:
+            return  # the per-point evaluation path; NaN falls through
         x = np.asarray(x, dtype=float)
         outside = ~((self.a <= x) & (x <= self.T))
         if outside.any():
@@ -206,8 +208,9 @@ def w23_inner_product(
     Interior ``breakpoints`` (kernel seams, collocation nodes) are forwarded
     to the quadrature so piecewise integrands do not degrade convergence.
     This routine is a test-suite oracle; the solver itself never integrates.
+    It is the package's only use of scipy, which is imported here, on the
+    first call, and is a dependency of the test extra only.
     """
-    # scipy.integrate is slow to import and only this oracle uses it.
     from scipy.integrate import IntegrationWarning, quad
 
     a, T = interval.a, interval.T

@@ -109,7 +109,7 @@ class HomogenizedProblem:
 
     def rhs(self, x: float, v: float) -> float:
         b = self.base
-        slope_term = 0.0 if b.beta == 0.0 else (b.k / x) * b.beta
+        slope_term = 0.0 if b.beta == 0.0 or b.k == 0.0 else (b.k / x) * b.beta
         return b.rhs(x, v + self.shift(x)) - slope_term
 
     @property
@@ -120,7 +120,7 @@ class HomogenizedProblem:
         b = self.base
 
         def g(x: float) -> float:
-            slope_term = 0.0 if b.beta == 0.0 else (b.k / x) * b.beta
+            slope_term = 0.0 if b.beta == 0.0 or b.k == 0.0 else (b.k / x) * b.beta
             return base_affine.g(x) + base_affine.q(x) * self.shift(x) - slope_term
 
         return AffineRhs(g=g, q=base_affine.q)

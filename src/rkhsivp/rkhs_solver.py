@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .collocation import CollocationBasis, build_basis, uniform_points
+from .collocation import CollocationBasis, build_basis, solve_lower, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
 from .kernel_space import build_w23_kernel
 from .problem_model import HomogenizedProblem, ProblemSpec, homogenize
@@ -85,10 +84,11 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
     p = sol.problem
-    x = np.asarray(x, dtype=float)
+    # x goes to psi_values as given, so that a float takes the scalar fast
+    # path of Interval.require.
     out = sol.basis.psi_values(x, deriv) @ sol.gamma
     if deriv == 0:
-        out = out + (p.alpha + p.beta * (x - p.interval.a))
+        out = out + (p.alpha + p.beta * (np.asarray(x, dtype=float) - p.interval.a))
     elif deriv == 1:
         out = out + p.beta
     return float(out) if out.ndim == 0 else out
@@ -182,7 +182,7 @@ def solve_nonlinear(
     V = S @ A
     for _ in range(1, sweeps):
         f = np.array([_rhs_at_node(hom, l, pts[l], V[l]) for l in range(n)])
-        A_next = solve_triangular(L, f, lower=True)
+        A_next = solve_lower(L, f)
         if not np.all(np.isfinite(A_next)):
             raise NumericError("sweep produced non-finite coefficients")
         V_next = S @ A_next
@@ -194,7 +194,7 @@ def solve_nonlinear(
     return RkhsSolution(
         basis,
         problem,
-        solve_triangular(L, A, lower=True, trans="T"),
+        solve_lower(L, A, trans=True),
         method="nonlinear",
         sweeps_used=sweeps_used,
         final_change=final_change,

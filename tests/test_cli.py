@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -258,6 +259,39 @@ class TestSolveErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestNodeAtOrigin:
+    """a < 0 < T: k/x has its pole inside the interval, at x = 0."""
+
+    def solve(self, capsys, tmp_path, k, rhs, n):
+        path = write_config(
+            tmp_path, name="parabola", k=k, a=-2, T=0.7, alpha=4, beta=-4,
+            rhs=rhs, exact="x^2",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, "solve", "--config", path, "--n", str(n),
+                       "--grid", "0.1,0.5")
+
+    @pytest.mark.parametrize("n, node", [(27, 20), (54, 40)])
+    def test_node_on_pole_is_a_domain_error(self, capsys, tmp_path, n, node):
+        code, out, err = self.solve(capsys, tmp_path, 2, "6", n)
+        assert code == 5
+        assert out == ""
+        assert err == f"error: collocation node {node} is x = 0, where k/x is singular\n"
+
+    def test_nodes_beside_pole_solve(self, capsys, tmp_path):
+        code, out, err = self.solve(capsys, tmp_path, 2, "6", 26)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert max(float(r[3]) for r in rows) < 1e-2
+
+    def test_node_on_origin_without_pole_solves(self, capsys, tmp_path):
+        code, out, err = self.solve(capsys, tmp_path, 0, "2", 27)
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert max(float(r[3]) for r in rows) < 1e-1
 
 
 class TestConverge:

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from rkhsivp import (
     DomainError,
     Interval,
     NumericError,
+    SingularityError,
     build_basis,
     build_w23_kernel,
     eval_kernel,
@@ -22,7 +24,7 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
-from rkhsivp.collocation import PointSet
+from rkhsivp.collocation import PointSet, solve_lower
 
 
 def beta_by_recurrence(gram):
@@ -133,6 +135,18 @@ class TestPsiEval:
         with pytest.raises(DomainError, match="collocation nodes"):
             build_basis(kernel01, 2.0, PointSet([-0.1, 0.5]))
 
+    def test_interior_node_at_origin(self):
+        # On [-2, 0.7] with n = 27 node 20 is x = 0, where k/x has its pole.
+        interval = Interval(-2.0, 0.7)
+        pts = uniform_points(interval, 27)
+        assert pts.values[19] == 0.0
+        kernel = build_w23_kernel(interval)
+        with pytest.raises(SingularityError, match="collocation node 20 is x = 0"):
+            build_basis(kernel, 2.0, pts)
+        # Without the singular coefficient the node is an ordinary one.
+        gram = build_basis(kernel, 0.0, pts).gram
+        assert np.all(np.isfinite(gram))
+
     def test_reduces_to_second_derivative_for_k_zero(self, kernel01):
         x_i, x = 0.4, 0.7
         basis = build_basis(kernel01, 0.0, PointSet([x_i]))
@@ -240,6 +254,40 @@ class TestOrthonormalize:
             fast = orthonormalize(gram)
             slow = beta_by_recurrence(gram)
             assert np.max(np.abs(fast - slow)) <= 1e-8
+
+
+class TestSolveLower:
+    """Blocked substitution against scipy's triangular solver as the oracle."""
+
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 1600])
+    def test_matches_solve_triangular(self, n, trans, rng):
+        # A well-conditioned factor: Cholesky of X X^T / n + I.
+        X = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(X @ X.T / n + np.eye(n))
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            before = B.copy()
+            got = solve_lower(L, B, trans=trans)
+            want = solve_triangular(L, B, lower=True, trans="T" if trans else "N")
+            assert got.shape == B.shape
+            assert np.array_equal(B, before)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_gram_factor(self, trans, kernel01, unit_interval):
+        # The factor the solvers use: cond(L) ~ 1e3 here, and its
+        # off-diagonal entries exceed the diagonal, so the block solves pivot.
+        basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 200))
+        L = basis.chol
+        for B in (basis.node_psi_matrix[7], basis.node_psi_matrix.T):
+            got = solve_lower(L, B, trans=trans)
+            want = solve_triangular(L, B, lower=True, trans="T" if trans else "N")
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_inverse_is_exactly_lower_triangular(self, kernel01, unit_interval):
+        gram = gram_matrix(kernel01, 2.0, uniform_points(unit_interval, 150))
+        beta = orthonormalize(gram)
+        assert np.array_equal(beta, np.tril(beta))
 
 
 class TestCollocationBasis:

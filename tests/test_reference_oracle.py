@@ -1,9 +1,11 @@
 """Reference integrator: regularization at the left endpoint, accuracy pins."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from rkhsivp import (
     AffineRhs,
@@ -157,3 +159,58 @@ class TestValidation:
         )
         with pytest.raises(SingularityError):
             integrate(tilted)
+
+
+def offset_problem():
+    """A nonlinear problem on [0.5, 2], where k/x is regular throughout."""
+    return ProblemSpec(
+        name="offset",
+        k=3.0,
+        interval=Interval(0.5, 2.0),
+        alpha=1.0,
+        beta=0.5,
+        rhs=lambda x, u: math.sin(u) + x,
+    )
+
+
+def trajectory_by_scipy(problem, tol, samples=513):
+    """The same samples from scipy's RK45, the implementation of the same pair."""
+    a, T = problem.interval.a, problem.interval.T
+
+    def rhs(x, y):
+        return [y[1], regularized_rhs(problem, x, y[0], y[1])]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's own rtol floor warning
+        sol = solve_ivp(
+            rhs, (a, T), [problem.alpha, problem.beta], method="RK45",
+            rtol=tol, atol=tol, dense_output=True,
+        )
+    assert sol.success
+    xs = np.linspace(a, T, samples)
+    us, ups = sol.sol(xs)
+    us[0], ups[0] = problem.alpha, problem.beta
+    upps = np.array([regularized_rhs(problem, x, u, up) for x, u, up in zip(xs, us, ups)])
+    return len(sol.t) - 1, xs, us, ups, upps
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "offset"])
+    def test_same_steps_and_samples(self, name, tol):
+        problem = offset_problem() if name == "offset" else builtin(name)
+        steps, xs, us, ups, upps = trajectory_by_scipy(problem, tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traj = integrate(problem, tol=tol)
+        assert traj.accepted_steps == steps
+        assert np.array_equal(traj.xs, xs)
+        for got, want in ((traj.us, us), (traj.ups, ups), (traj.upps, upps)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_tolerance_floor_warns(self, ex1):
+        with pytest.warns(UserWarning, match="raised to"):
+            integrate(ex1, tol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrate(ex1, tol=1e-13)

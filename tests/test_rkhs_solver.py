@@ -1,5 +1,6 @@
 """Solver behavior: linear path, sweep iteration, evaluation, reports."""
 
+import json
 import math
 import os
 import subprocess
@@ -272,18 +273,41 @@ class TestFactoredSolve:
         assert "beta" not in vars(sol.basis)
 
 
-def test_solve_does_not_import_scipy_integrate():
+def test_solve_does_not_import_scipy_integrate(tmp_path):
+    # No scipy module at all: not on import, not on either solve path, and
+    # not in a CLI run without an exact solution, where the oracle runs.
+    config = tmp_path / "noexact.json"
+    config.write_text(
+        '{"name": "cubic", "k": 2, "a": 0, "T": 1, "alpha": 1, "beta": 0,'
+        ' "rhs": "-u^3"}',
+        encoding="utf-8",
+    )
+    table = tmp_path / "table.csv"
     src = os.path.dirname(os.path.dirname(rkhsivp.__file__))
     code = (
-        "import sys, rkhsivp\n"
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "loaded = {}\n"
+        "import rkhsivp\n"
+        "loaded['import'] = scipy_modules()\n"
         "rkhsivp.solve_problem(rkhsivp.builtin('ex1'))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "loaded['ex1'] = scipy_modules()\n"
+        "rkhsivp.solve_problem(rkhsivp.builtin('ex2'), sweeps=20)\n"
+        "loaded['ex2'] = scipy_modules()\n"
+        "from rkhsivp import cli\n"
+        f"status = cli.main(['solve', '--config', {str(config)!r}, '--output', {str(table)!r}])\n"
+        "loaded['cli'] = scipy_modules()\n"
+        "print(json.dumps([status, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    status, loaded = json.loads(out.stdout)
+    assert status == 0
+    assert "Oracle solution" in table.read_text(encoding="utf-8")
+    assert loaded == {"import": [], "ex1": [], "ex2": [], "cli": []}
 
 
 class TestSolveProblem:
