@@ -75,6 +75,9 @@ def _config_number(raw: dict, key: str) -> float:
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    # Exact comparisons, so an integer beyond the float range fails too.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -195,7 +198,14 @@ def _timed_solve(
     """
     start = time.perf_counter()
     sol = solve_problem(problem, n=n, method=args.method, sweeps=args.sweeps, tol=args.tol)
-    return sol, time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if sol.final_change is not None and sol.final_change > args.tol:
+        print(
+            f"warning: {problem.name}: n={n}: stopped after {sol.sweeps_used} sweeps, "
+            f"last change {sol.final_change:.3e} above --tol {args.tol:.3e}",
+            file=sys.stderr,
+        )
+    return sol, seconds
 
 
 def _parse_grid(text: str, interval: Interval) -> list[float]:

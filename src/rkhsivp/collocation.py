@@ -5,17 +5,17 @@ operator images ``psi_i(x) = d2/dy2 R_x(y) + (k/x_i) d/dy R_x(y)`` at
 ``y = x_i``, where ``R`` is the piecewise-quintic kernel.  Writing the kernel
 as ``R(x, y) = m(x - a) . C m(y - a)`` on ``y <= x`` (``C^T`` otherwise) and
 letting ``U[i]`` be the operator applied to the monomials ``m(y - a)`` at
-``y = x_i``, every quantity is a matrix product:
+``y = x_i``, every kernel matrix is rows times ``C U[i]`` (or ``C^T U[i]``):
 
-    psi_i(x) = m(x - a) . C U[i]          (x_i <= x; C^T otherwise)
-    G[i, j]  = U[j] . C U[i]              (x_i <= x_j)
+    psi_i(x)  = m(x - a) . C U[i]         (x_i <= x; C^T otherwise)
+    G[j, i]   = U[j] . C U[i]             (x_i <= x_j; C^T otherwise)
+    Psi[j, i] = M[j] . C U[i]             (likewise; M[j] = m(x_j - a))
 
-so the Gram matrix is the mirrored lower triangle of ``U C U^T`` and the
-basis values at many points are one product each.  No quadrature and no
-finite differences enter; the quadrature inner product exists only as an
+and ``G - diag(q) Psi`` takes the rows ``U - diag(q) M``.  No quadrature and
+no finite differences enter; the quadrature inner product exists only as an
 independent oracle in the tests.
 
-The basis keeps the Cholesky factor ``G = L L^T`` and never inverts it: the
+The Cholesky factor ``G = L L^T`` is never inverted on the solve path: the
 orthonormal system is ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
 recurrence, but stable at the node counts the benchmark tables need), and
 each product with ``L^{-1}`` is a blocked substitution (:func:`solve_lower`).
@@ -99,34 +99,9 @@ def _require_regular(points: PointSet, k: float) -> None:
             )
 
 
-def _operator_rows(points: np.ndarray, k: float, a: float) -> np.ndarray:
-    """``U[i] = (d2/dy2 + (k/x_i) d/dy) m(y - a)`` at ``y = x_i``, shape (n, 6)."""
-    eta = points - a
-    rows = quintic_derivative_weights(eta, 2)
-    if k != 0.0:
-        rows += (k / points)[:, None] * quintic_derivative_weights(eta, 1)
-    return rows
-
-
 def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
-    """Pairwise inner products of the basis functions.
-
-    For ``x_i <= x_j``, ``G[i, j] = U[j] . C U[i]``: the lower triangle of
-    ``U C U^T``, which is mirrored onto the upper one.
-    """
-    _require_inside(points, kernel.interval)
-    _require_regular(points, k)
-    # The finiteness check below is the contract for bad inputs (such as an
-    # infinite k), so intermediate overflow warnings carry no information.
-    with np.errstate(invalid="ignore", over="ignore"):
-        U = _operator_rows(points.values, k, kernel.interval.a)
-        G = U @ (kernel.C @ U.T)
-    for i in range(G.shape[0] - 1):
-        G[i, i + 1 :] = G[i + 1 :, i]
-    if not np.all(np.isfinite(G)):
-        i, j = np.argwhere(~np.isfinite(G))[0]
-        raise NumericError(f"non-finite Gram entry at ({int(i) + 1}, {int(j) + 1})")
-    return G
+    """Pairwise inner products of the basis functions, ``G[i, j] = <psi_i, psi_j>``."""
+    return build_basis(kernel, k, points).gram
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray:
@@ -178,41 +153,43 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
 
 
 class CollocationBasis:
-    """Kernel, nodes, Gram matrix and its Cholesky factor.
+    """Kernel, nodes and the generators: operator rows ``U``, node monomials ``M``.
 
-    Immutable after construction; all returned arrays are read-only views of
-    internal state.  ``psi_values`` supports derivative orders 0..3 in the
-    evaluation variable (order 3 exists for the quadrature oracles; the
-    public solution interface stops at 2).
+    ``gram``, ``chol``, ``beta`` and ``node_psi_matrix`` are built from them
+    on first read.  Immutable; all returned arrays are read-only.  ``psi_values``
+    supports derivative orders 0..3 in the evaluation variable (order 3 exists
+    for the quadrature oracles; the public solution interface stops at 2).
     """
 
-    def __init__(
-        self,
-        kernel: W23Kernel,
-        k: float,
-        points: PointSet,
-        gram: np.ndarray,
-        chol: np.ndarray,
-    ):
+    def __init__(self, kernel: W23Kernel, k: float, points: PointSet):
+        _require_inside(points, kernel.interval)
+        _require_regular(points, k)
         self.kernel = kernel
         self.k = float(k)
         self.points = points
-        gram = np.asarray(gram, dtype=float).copy()
-        chol = np.asarray(chol, dtype=float).copy()
-        gram.setflags(write=False)
-        chol.setflags(write=False)
-        self.gram = gram
-        self.chol = chol
-        U = _operator_rows(points.values, self.k, kernel.interval.a)
-        # psi_i(x) = m(x - a) . left[:, i] when x_i <= x, else . right[:, i].
-        self._left = kernel.C @ U.T
-        self._right = kernel.C.T @ U.T
-        self._left.setflags(write=False)
-        self._right.setflags(write=False)
+        # U[i] = (d2/dy2 + (k/x_i) d/dy) m(y - a) at y = x_i; M[i] = m(x_i - a).
+        eta = points.values - kernel.interval.a
+        self.U = quintic_derivative_weights(eta, 2)
+        self.M = quintic_derivative_weights(eta, 0)
+        # The Gram finiteness check is the contract for bad inputs (such as an
+        # infinite k), so overflow warnings here carry no information.
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self.k != 0.0:
+                self.U += self.k / points.values[:, None] * quintic_derivative_weights(eta, 1)
+            # C U^T and C^T U^T, kept because point evaluation reads them per call.
+            self._left, self._right = kernel.C @ self.U.T, kernel.C.T @ self.U.T
+        self.U.setflags(write=False)
+        self.M.setflags(write=False)
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    def _kernel_rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Column i: ``rows . C U[i]`` where ``x_i <= x``, else ``rows . C^T U[i]``."""
+        out = rows @ self._left
+        np.copyto(out, rows @ self._right, where=self.points.values > x[..., None])
+        return out
 
     def psi_values(self, x, order: int = 0) -> np.ndarray:
         """Values of every ``psi_i`` (or an x-derivative) at ``x``.
@@ -225,9 +202,24 @@ class CollocationBasis:
         interval = self.kernel.interval
         interval.require(x, "evaluation point")
         x = np.asarray(x, dtype=float)
-        mx = quintic_derivative_weights(x - interval.a, order)
-        out = mx @ self._left
-        np.copyto(out, mx @ self._right, where=self.points.values > x[..., None])
+        return self._kernel_rows(quintic_derivative_weights(x - interval.a, order), x)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """``G[j, i] = U[j] . C U[i]`` for ``x_i <= x_j``, with ``C^T`` above."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = self._kernel_rows(self.U, self.points.values)
+        if not np.all(np.isfinite(out)):
+            i, j = np.argwhere(~np.isfinite(out))[0]
+            raise NumericError(f"non-finite Gram entry at ({int(i) + 1}, {int(j) + 1})")
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Cholesky factor ``L`` of the Gram matrix, ``G = L L^T``."""
+        out = _cholesky(self.gram)
+        out.setflags(write=False)
         return out
 
     @cached_property
@@ -244,19 +236,17 @@ class CollocationBasis:
     @cached_property
     def node_psi_matrix(self) -> np.ndarray:
         """``Psi[j, i] = psi_i(x_j)``."""
-        out = self.psi_values(self.points.values)
+        out = self._kernel_rows(self.M, self.points.values)
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def node_psibar_matrix(self) -> np.ndarray:
-        """``S[j, i] = psibar_i(x_j)``, i.e. ``S = Psi L^{-T}``."""
-        out = solve_lower(self.chol, self.node_psi_matrix.T).T
-        out.setflags(write=False)
-        return out
+    def collocation_matrix(self, q: np.ndarray) -> np.ndarray:
+        """``K = G - diag(q) Psi``, built from the rows ``U - diag(q) M``."""
+        rows = self.U - np.asarray(q, dtype=float)[:, None] * self.M
+        with np.errstate(invalid="ignore", over="ignore"):  # the solve checks finiteness
+            return self._kernel_rows(rows, self.points.values)
 
 
 def build_basis(kernel: W23Kernel, k: float, points: PointSet) -> CollocationBasis:
-    """Assemble the Gram matrix for the given nodes and factor it."""
-    gram = gram_matrix(kernel, k, points)
-    return CollocationBasis(kernel, k, points, gram, _cholesky(gram))
+    """The collocation basis of ``kernel`` at ``points`` for the coefficient ``k``."""
+    return CollocationBasis(kernel, k, points)

@@ -84,7 +84,6 @@ class ProblemSpec:
     beta: float
     rhs: Callable[[float, float], float]
     affine: Optional[AffineRhs] = None
-    rhs_du: Optional[Callable[[float, float], float]] = None  # diagnostics only
     exact: Optional[ExactSolution] = None
 
     @property
@@ -181,7 +180,6 @@ def _example_1() -> ProblemSpec:
         beta=0.0,
         rhs=lambda x, u: g(x) - u,
         affine=AffineRhs(g=g, q=lambda x: -1.0),
-        rhs_du=lambda x, u: -1.0,
         exact=ExactSolution(
             u=lambda x: x**3 + x**2,
             du=lambda x: 3.0 * x**2 + 2.0 * x,
@@ -199,7 +197,6 @@ def _example_2() -> ProblemSpec:
         alpha=0.0,
         beta=0.0,
         rhs=lambda x, u: -4.0 * (2.0 * math.exp(u) + math.exp(0.5 * u)),
-        rhs_du=lambda x, u: -4.0 * (2.0 * math.exp(u) + 0.5 * math.exp(0.5 * u)),
         exact=ExactSolution(
             u=lambda x: -2.0 * math.log1p(x * x),
             du=lambda x: -4.0 * x / (1.0 + x * x),
@@ -224,7 +221,6 @@ def _example_3() -> ProblemSpec:
         alpha=1.0,
         beta=0.0,
         rhs=lambda x, u: -9.0 * pi * u - 2.0 * pi * u * math.log(u),
-        rhs_du=lambda x, u: -9.0 * pi - 2.0 * pi * (math.log(u) + 1.0),
         exact=ExactSolution(
             u=u_exact,
             du=lambda x: -pi * x * u_exact(x),

@@ -4,10 +4,11 @@ The homogenized unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
 with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
 the Gram matrix; no inverse of ``L`` is formed.  For an affine right-hand
 side ``g(x) + q(x) v`` collocation is one LU solve of ``(G - diag(q) Psi)
-gamma = g``.  Otherwise a single forward sweep computes ``A`` in node order by
-forward substitution with ``L``, evaluating the right-hand side at the
-running partial sums; optional further sweeps re-feed the previous full
-solution until the nodal values settle.
+gamma = g``, whose matrix is one product of the basis generators.  Otherwise
+a single forward sweep computes ``A`` in node order by forward substitution
+with ``L``, evaluating the right-hand side at the running partial sums;
+optional further sweeps re-feed the previous full solution until the nodal
+values settle.
 
 Evaluation undoes the homogenization shift, so solutions report the original
 unknown and satisfy the initial data at ``a`` to floating-point accuracy.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -56,16 +58,20 @@ class RkhsSolution:
         final_change: Optional[float] = None,
     ):
         gamma = np.asarray(gamma, dtype=float).copy()
-        coefficients = basis.chol.T @ gamma
         gamma.setflags(write=False)
-        coefficients.setflags(write=False)
         self.basis = basis
         self.problem = problem
         self.gamma = gamma
-        self.coefficients = coefficients
         self.method = method
         self.sweeps_used = sweeps_used
         self.final_change = final_change
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """``A = L^T gamma``; factors the Gram matrix on first read."""
+        out = self.basis.chol.T @ self.gamma
+        out.setflags(write=False)
+        return out
 
     @property
     def n(self) -> int:
@@ -119,15 +125,13 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     = g(x_j) + q(x_j) v(x_j)`` read ``(G - diag(q) Psi) gamma = g``, where
     ``Psi[j, i] = psi_i(x_j)``: one LU solve, with no orthonormalization.
     """
-    aff_base = problem.affine
-    if aff_base is None:
+    if problem.affine is None:
         raise ValueError(f"problem {problem.name!r} has no affine right-hand side form")
     hom = homogenize(problem)
     aff = hom.affine
     pts = basis.points.values
     gv = np.array([aff.g(x) for x in pts])
-    qv = np.array([aff.q(x) for x in pts])
-    K = basis.gram - qv[:, None] * basis.node_psi_matrix
+    K = basis.collocation_matrix([aff.q(x) for x in pts])
     try:
         gamma = np.linalg.solve(K, gv)
     except np.linalg.LinAlgError as exc:
@@ -149,11 +153,11 @@ def solve_nonlinear(
     """Sequential forward sweep for general right-hand sides.
 
     The first sweep solves ``L A = f`` row by row in node order, with ``f_l``
-    the right-hand side at the partial sum built so far, seeded by ``initial``
-    (the original unknown; defaults to the homogenization shift, i.e. a zero
-    homogenized iterate).  Additional sweeps re-evaluate ``f`` at the previous
-    sweep's full nodal values, solve ``L A = f`` and stop once the largest
-    nodal change is at most ``tol``.
+    the right-hand side at the partial sum built so far and ``f_1`` at
+    ``initial(x_1)`` (the original unknown; defaults to the homogenization
+    shift).  Additional sweeps re-evaluate ``f`` at the nodal values ``Psi
+    gamma``, solve ``L L^T gamma = f`` and stop once the largest nodal change
+    is at most ``tol``.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -161,40 +165,40 @@ def solve_nonlinear(
     pts = basis.points.values
     n = basis.n
     L = basis.chol
-    S = basis.node_psibar_matrix
+    # For i < l, psibar_i(x_l) = M[l] . C Y[i] with Y = L^{-1} U, so the
+    # partial sum at x_l is M[l] . C z for the running z = sum_{i<l} A_i Y[i].
+    Y = solve_lower(L, basis.U)
+    MC = basis.M @ basis.kernel.C
 
-    if initial is None:
-        v0 = np.zeros(n)
-    else:
-        v0 = np.array([initial(x) - hom.shift(x) for x in pts])
-
-    f = np.empty(n)
+    v0 = 0.0 if initial is None else initial(pts[0]) - hom.shift(pts[0])
     A = np.zeros(n)
+    z = np.zeros(6)
     for l in range(n):
-        varg = v0[l] if l == 0 else float(S[l, :l] @ A[:l])
-        f[l] = _rhs_at_node(hom, l, pts[l], varg)
-        A[l] = (f[l] - float(L[l, :l] @ A[:l])) / L[l, l]
+        f_l = _rhs_at_node(hom, l, pts[l], v0 if l == 0 else float(MC[l] @ z))
+        A[l] = (f_l - float(L[l, :l] @ A[:l])) / L[l, l]
+        z += A[l] * Y[l]
     if not np.all(np.isfinite(A)):
         raise NumericError("forward sweep produced non-finite coefficients")
 
+    gamma = solve_lower(L, A, trans=True)
     sweeps_used = 1
     final_change = None
-    V = S @ A
-    for _ in range(1, sweeps):
+    if sweeps > 1:
+        V = basis.node_psi_matrix @ gamma
+    for sweeps_used in range(2, sweeps + 1):
         f = np.array([_rhs_at_node(hom, l, pts[l], V[l]) for l in range(n)])
-        A_next = solve_lower(L, f)
-        if not np.all(np.isfinite(A_next)):
+        gamma_next = solve_lower(L, solve_lower(L, f), trans=True)
+        if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")
-        V_next = S @ A_next
+        V_next = basis.node_psi_matrix @ gamma_next
         final_change = float(np.max(np.abs(V_next - V)))
-        A, V = A_next, V_next
-        sweeps_used += 1
+        gamma, V = gamma_next, V_next
         if final_change <= tol:
             break
     return RkhsSolution(
         basis,
         problem,
-        solve_lower(L, A, trans=True),
+        gamma,
         method="nonlinear",
         sweeps_used=sweeps_used,
         final_change=final_change,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -161,6 +162,15 @@ class TestSolveConfig:
         assert code == 2
         assert "'k' must be a number" in err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("key", ["k", "alpha", "beta"])
+    def test_nonfinite_parameter(self, capsys, tmp_path, key, value):
+        path = write_config(tmp_path, **{key: value})
+        code, out, err = run(capsys, "solve", "--config", path)
+        assert code == 2
+        assert out == ""
+        assert f"config key {key!r} must be finite" in err
+
     def test_rhs_syntax_error(self, capsys, tmp_path):
         path = write_config(tmp_path, rhs="x +")
         code, _, err = run(capsys, "solve", "--config", path)
@@ -203,6 +213,39 @@ class TestSolveConfig:
         path = write_config(tmp_path, a=1.0, T=1.0)
         code, _, err = run(capsys, "solve", "--config", path)
         assert code == 2
+
+
+class TestSweepCap:
+    """Sweeps that stop at ``--sweeps`` above ``--tol`` say so on stderr."""
+
+    EX2 = ("--problem", "ex2", "--n", "100")
+
+    def test_cap_reached_warns(self, capsys):
+        code, out, err = run(capsys, "solve", *self.EX2, "--sweeps", "3", "--tol", "1e-14")
+        assert code == 0
+        warnings_ = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings_) == 1
+        assert "stopped after 3 sweeps" in warnings_[0]
+        assert "above --tol 1.000e-14" in warnings_[0]
+        # The table is the one a looser tolerance at the same cap gives.
+        assert run(capsys, "solve", *self.EX2, "--sweeps", "3", "--tol", "1e-13")[1] == out
+
+    @pytest.mark.parametrize(
+        "options", [("--sweeps", "50", "--tol", "1e-10"), ()], ids=["converged", "default"]
+    )
+    def test_no_warning_otherwise(self, capsys, options):
+        code, _, err = run(capsys, "solve", *self.EX2, *options)
+        assert code == 0
+        assert "warning" not in err
+
+    def test_converge_warns_per_n(self, capsys):
+        code, _, err = run(
+            capsys, "converge", "--problem", "ex2", "--n-list", "25,50",
+            "--sweeps", "2", "--tol", "1e-14",
+        )
+        assert code == 0
+        assert "n=25: stopped after 2 sweeps" in err
+        assert "n=50: stopped after 2 sweeps" in err
 
 
 class TestSolveErrors:

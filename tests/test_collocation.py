@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from rkhsivp import (
@@ -290,6 +292,32 @@ class TestSolveLower:
         assert np.array_equal(beta, np.tril(beta))
 
 
+class TestCollocationMatrix:
+    """``collocation_matrix`` against ``G - diag(q) Psi`` assembled densely."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.0, 10.0),
+        a=st.floats(0.0, 3.0),
+        length=st.floats(0.5, 10.0),
+        n=st.integers(1, 300),
+        q_scale=st.sampled_from([0.0, 1e-3, 1.0, 1e2, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gram_minus_q_psi(self, k, a, length, n, q_scale, seed):
+        interval = Interval(a, a + length)
+        basis = build_basis(build_w23_kernel(interval), k, uniform_points(interval, n))
+        q = q_scale * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        U, C, M = basis.U, basis.kernel.C, basis.M
+        # G as the lower triangle of U C U^T, mirrored; Psi by its two branches.
+        G = np.tril(U @ C @ U.T)
+        G = G + np.tril(G, -1).T
+        Psi = np.tril(M @ C @ U.T) + np.triu(M @ C.T @ U.T, 1)
+        want = G - q[:, None] * Psi
+        got = basis.collocation_matrix(q)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestCollocationBasis:
     def test_shapes_and_immutability(self, basis100):
         n = basis100.n
@@ -310,12 +338,8 @@ class TestCollocationBasis:
         pts = uniform_points(unit_interval, 6)
         basis = build_basis(kernel01, 2.0, pts)
         psi_mat = basis.node_psi_matrix
-        psibar_mat = basis.node_psibar_matrix
         for j, xj in enumerate(pts.values):
             assert np.allclose(psi_mat[j], basis.psi_values(float(xj)), atol=1e-13)
-            assert np.allclose(
-                psibar_mat[j], basis.psibar_values(float(xj)), atol=1e-13
-            )
 
     @pytest.mark.parametrize("a, T", [(0.0, 1.0), (0.5, 3.0), (1.0, 11.0)])
     def test_array_points_match_scalar_path(self, a, T, rng):

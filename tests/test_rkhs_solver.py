@@ -1,13 +1,17 @@
 """Solver behavior: linear path, sweep iteration, evaluation, reports."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rkhsivp
 from rkhsivp import (
@@ -59,6 +63,14 @@ class TestLinearPath:
         report = error_report(sol, TABLE_GRID)
         assert report.max_absolute <= 1e-5
         assert sol.method == "linear"
+
+    @pytest.mark.parametrize("k", [math.inf, 1e300])
+    def test_overflowing_k_is_numeric_error_without_warnings(self, ex1, k):
+        # The linear path never forms G, so its own finiteness check reports it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                solve_problem(dataclasses.replace(ex1, k=k), n=5)
 
     def test_pinned_grid_value(self, ex1):
         sol = solve_problem(ex1, n=100)
@@ -171,6 +183,17 @@ class TestNonlinearSweeps:
         err = max(abs(evaluate(guided, x) - ex2.exact.u(x)) for x in TABLE_GRID)
         assert err <= 1e-5
 
+    def test_initial_read_at_first_node_only(self, ex2, kernel01, unit_interval):
+        basis = build_basis(kernel01, ex2.k, uniform_points(unit_interval, 20))
+        calls = []
+
+        def initial(x):
+            calls.append(x)
+            return ex2.exact.u(x)
+
+        solve_nonlinear(ex2, basis, initial=initial, sweeps=3)
+        assert calls == [basis.points.values[0]]
+
     def test_domain_error_names_node(self, kernel01, unit_interval):
         tree = parse("ln(u)")
         problem = ProblemSpec(
@@ -265,12 +288,39 @@ class TestFactoredSolve:
         # root of cond(G), is about 3e3 at n = 400.
         assert np.max(np.abs(sol.coefficients - want)) <= 1e-9 * np.max(np.abs(want))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.0, 10.0),
+        a=st.floats(0.0, 3.0),
+        length=st.floats(0.5, 10.0),
+        n=st.integers(1, 120),
+    )
+    def test_first_sweep_matches_inverse_formulation_on_any_interval(self, k, a, length, n):
+        problem = ProblemSpec(
+            name="bounded",
+            k=k,
+            interval=Interval(a, a + length),
+            alpha=0.5,
+            beta=-0.25,
+            rhs=lambda x, u: math.cos(x) - math.sin(u),
+        )
+        sol = solve_problem(problem, n=n)
+        want = first_sweep_by_inverse(problem, sol.basis)
+        assert np.max(np.abs(sol.coefficients - want)) <= 1e-9 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("name", ["ex1", "ex2"])
     def test_solve_never_forms_the_inverse(self, name):
         sol = solve_problem(builtin(name), n=30)
-        assert sol.method == ("linear" if name == "ex1" else "nonlinear")
-        assert "chol" in vars(sol.basis)
-        assert "beta" not in vars(sol.basis)
+        cached = vars(sol.basis)
+        if name == "ex1":
+            # The linear path builds its matrix from the generators only.
+            assert sol.method == "linear"
+            for attr in ("gram", "chol", "node_psi_matrix"):
+                assert attr not in cached
+        else:
+            assert sol.method == "nonlinear"
+            assert "chol" in cached
+        assert "beta" not in cached
 
 
 def test_solve_does_not_import_scipy_integrate(tmp_path):
