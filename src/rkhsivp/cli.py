@@ -11,7 +11,8 @@ Three subcommands cover the practical workflows:
 
 ``converge``
     Re-solve the same problem for several collocation counts and report the
-    max grid error, the residual sup-norm and the solve wall time per n.
+    max grid error, the residual sup-norm (samples at the pole ``x = 0``
+    left out) and the solve wall time per n.
 
 ``kernel-dump``
     Tabulate one kernel section R_x(y) with its first two y-derivatives and
@@ -208,19 +209,32 @@ def _timed_solve(
     return sol, seconds
 
 
+def _reference(problem: ProblemSpec, args: argparse.Namespace) -> Callable[[float], float]:
+    """The exact solution when the problem has one, else the RK oracle's."""
+    if problem.exact is not None:
+        return problem.exact.u
+    return integrate(problem, tol=args.oracle_tol).u
+
+
+def _comma_list(text: str, convert: Callable[[str], Cell], what: str) -> list:
+    """The non-empty comma-separated tokens of ``text``, each converted."""
+    values = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            values.append(convert(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad {what} value {token!r}") from exc
+    return values
+
+
 def _parse_grid(text: str, interval: Interval) -> list[float]:
     if text.strip() == "paper":
         points = [float(x) for x in REPORT_GRID]
     else:
-        points = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                points.append(float(token))
-            except ValueError as exc:
-                raise ConfigError(f"bad grid value {token!r}") from exc
+        points = _comma_list(text, float, "grid")
         if not points:
             raise ConfigError("grid must contain at least one point")
     for x in points:
@@ -232,15 +246,7 @@ def _parse_grid(text: str, interval: Interval) -> list[float]:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(int(token))
-        except ValueError as exc:
-            raise ConfigError(f"bad n value {token!r}") from exc
+    values = _comma_list(text, int, "n")
     if not values:
         raise ConfigError("n list must not be empty")
     for n in values:
@@ -256,15 +262,9 @@ def _parse_n_list(text: str) -> list[int]:
 def _format_cell(value: Cell) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
     return format(float(value), ".16g")
-
-
-def _round_cell(value: Cell) -> Cell:
-    if value is None or isinstance(value, (int, np.integer)):
-        return value
-    return float(value)
 
 
 def _write_table(
@@ -282,7 +282,7 @@ def _write_table(
     else:
         payload = dict(meta or {})
         payload["columns"] = list(columns)
-        payload["rows"] = [[_round_cell(cell) for cell in row] for row in rows]
+        payload["rows"] = [list(row) for row in rows]
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -309,10 +309,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid, problem.interval)
     sol, seconds = _timed_solve(problem, args.n, args)
     method = sol.method
+    report = error_report(sol, grid, _reference(problem, args))
 
     meta: dict = {"problem": problem.name, "n": args.n, "method": method}
     if problem.exact is not None:
-        report = error_report(sol, grid)
         rows = [
             (r.x, r.exact, r.approximate, r.absolute, r.relative) for r in report.rows
         ]
@@ -321,15 +321,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         meta["max_relative_error"] = report.max_relative
         summary = f"max absolute error {report.max_absolute:.3e}"
     else:
-        oracle = integrate(problem, tol=args.oracle_tol)
-        rows = []
-        for x, approx in zip(grid, sol(np.array(grid)).tolist()):
-            ref = oracle.u(x)
-            rows.append((x, approx, ref, abs(approx - ref)))
+        rows = [(r.x, r.approximate, r.exact, r.absolute) for r in report.rows]
         columns = ORACLE_COLUMNS
-        worst = max(row[3] for row in rows)
-        meta["max_deviation"] = worst
-        summary = f"max oracle deviation {worst:.3e}"
+        meta["max_deviation"] = report.max_absolute
+        summary = f"max oracle deviation {report.max_absolute:.3e}"
     _emit(args, columns, rows, meta)
     print(
         f"{problem.name}: n={args.n} ({method}) solved in {seconds:.3f} s; {summary}",
@@ -342,12 +337,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     problem = _load_problem(args)
     ns = _parse_n_list(args.n_list)
     grid = uniform_points(problem.interval, 200).values
-    if problem.exact is not None:
-        reference: Callable[[float], float] = problem.exact.u
-    else:
-        oracle = integrate(problem, tol=args.oracle_tol)
-        reference = oracle.u
-
+    reference = _reference(problem, args)
     ref = np.array([reference(float(x)) for x in grid])
     rows = []
     for n in ns:
@@ -357,16 +347,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
         rows.append((n, err, res, seconds))
 
     for prev, cur in zip(rows, rows[1:]):
-        if cur[0] > prev[0] and cur[1] >= prev[1]:
-            print(
-                f"warning: max absolute error did not decrease from n={prev[0]} to n={cur[0]}",
-                file=sys.stderr,
-            )
-        if cur[0] > prev[0] and cur[2] >= prev[2]:
-            print(
-                f"warning: residual sup-norm did not decrease from n={prev[0]} to n={cur[0]}",
-                file=sys.stderr,
-            )
+        for col, label in ((1, "max absolute error"), (2, "residual sup-norm")):
+            if cur[0] > prev[0] and cur[col] >= prev[col]:
+                print(
+                    f"warning: {label} did not decrease from n={prev[0]} to n={cur[0]}",
+                    file=sys.stderr,
+                )
     meta = {"problem": problem.name, "method": sol.method}
     _emit(args, CONVERGE_COLUMNS, rows, meta)
     return 0
@@ -491,6 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per exception class; the first class that matches wins.
+_EXIT_CODES = {ExpressionSyntaxError: 3, ConfigError: 2, ValueError: 2,
+               NumericError: 4, DomainError: 5}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -499,18 +490,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ExpressionSyntaxError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -65,12 +65,6 @@ class PointSet:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
 
 def uniform_points(interval: Interval, n: int) -> PointSet:
     """``x_i = a + i (T - a) / n`` for ``i = 1..n``; never includes ``a``."""

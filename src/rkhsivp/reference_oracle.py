@@ -8,8 +8,9 @@ step with the embedded fourth-order one as in Hairer, Norsett & Wanner,
 heuristic of Sec. II.4, safety factor 0.9, step changes bounded to [0.2, 10]
 with error exponent -1/5, the RMS error norm with scale ``tol + max(|y|,
 |y_new|) tol``, and a step floor of ten units in the last place of ``x``.
-The free fourth-order dense output of each step gives the solution on a fine
-sample grid, served in turn through cubic Hermite interpolation.
+The free fourth-order dense output of each step gives the solution on a
+uniform grid of 513 samples, served in turn through cubic Hermite
+interpolation.
 
 The only subtlety is the coefficient ``k/x`` at a left endpoint ``a = 0``:
 there a regular solution needs ``u'(a) = 0`` and the limit ``(k/x) u' -> k
@@ -87,13 +88,6 @@ class OracleTrajectory:
 
     def du(self, x: float) -> float:
         return self._hermite(x, self.ups, self.upps)
-
-    def __call__(self, x: float, deriv: int = 0) -> float:
-        if deriv == 0:
-            return self.u(x)
-        if deriv == 1:
-            return self.du(x)
-        raise ValueError(f"deriv must be 0 or 1, got {deriv}")
 
 
 # The Dormand-Prince 5(4) tableau: stage nodes _C, stage weights _A, the
@@ -224,7 +218,6 @@ def integrate(
     problem: ProblemSpec,
     tol: float = 1e-10,
     max_steps: int = 100_000,
-    samples: int = 513,
 ) -> OracleTrajectory:
     """Integrate ``problem`` over its interval with local error bound ``tol``.
 
@@ -233,8 +226,6 @@ def integrate(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     a, T = problem.interval.a, problem.interval.T
     if a == 0.0 and problem.beta != 0.0:
         raise SingularityError(
@@ -250,7 +241,7 @@ def integrate(
 
     y0 = np.array([problem.alpha, problem.beta])
     ts, ys, Q = _dormand_prince(rhs, a, y0, T, tol, max_steps)
-    xs = np.linspace(a, T, samples)
+    xs = np.linspace(a, T, 513)
     us, ups = _dense_output(ts, ys, Q, xs)
     us[0], ups[0] = problem.alpha, problem.beta
     upps = np.array([regularized_rhs(problem, x, u, up) for x, u, up in zip(xs, us, ups)])

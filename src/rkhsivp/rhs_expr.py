@@ -308,46 +308,38 @@ def _wrap(s: str, wanted: bool) -> str:
     return f"({s})" if wanted else s
 
 
+def _degree(expr: Expr, name: str) -> int:
+    """Structural degree in the variable: 0 free of it, 1 affine, 2 otherwise.
+
+    Powers and calls that mention the variable count as 2, as does a product
+    of two dependent factors: 1 is exact, 2 may be conservative (``u^1``).
+    """
+    if isinstance(expr, Num):
+        return 0
+    if isinstance(expr, Name):
+        return int(expr.ident == name)
+    if isinstance(expr, Neg):
+        return _degree(expr.operand, name)
+    if isinstance(expr, Call):
+        return 2 * (_degree(expr.arg, name) > 0)
+    left, right = _degree(expr.left, name), _degree(expr.right, name)
+    if expr.op in "+-":
+        return max(left, right)
+    if expr.op == "*":
+        return min(left + right, 2)
+    if expr.op == "/":
+        return left if right == 0 else 2
+    return 2 * (left + right > 0)
+
+
 def depends_on(expr: Expr, name: str) -> bool:
     """True when the expression mentions the given variable."""
-    if isinstance(expr, Num):
-        return False
-    if isinstance(expr, Name):
-        return expr.ident == name
-    if isinstance(expr, Neg):
-        return depends_on(expr.operand, name)
-    if isinstance(expr, BinOp):
-        return depends_on(expr.left, name) or depends_on(expr.right, name)
-    return depends_on(expr.arg, name)
+    return _degree(expr, name) > 0
 
 
 def affine_in(expr: Expr, name: str) -> bool:
-    """True when the expression is structurally affine in the variable.
-
-    Affine means a sum of terms each at most linear in the variable, with
-    coefficients free of it.  Powers and function calls that mention the
-    variable are rejected, as is any product of two dependent factors, so
-    a True answer is exact while a False answer may be conservative
-    (for example ``u^1`` is reported nonlinear).
-    """
-    if not depends_on(expr, name):
-        return True
-    if isinstance(expr, Name):
-        return True
-    if isinstance(expr, Neg):
-        return affine_in(expr.operand, name)
-    if isinstance(expr, BinOp):
-        if expr.op in ("+", "-"):
-            return affine_in(expr.left, name) and affine_in(expr.right, name)
-        if expr.op == "*":
-            if not depends_on(expr.left, name):
-                return affine_in(expr.right, name)
-            if not depends_on(expr.right, name):
-                return affine_in(expr.left, name)
-            return False
-        if expr.op == "/":
-            return not depends_on(expr.right, name) and affine_in(expr.left, name)
-    return False
+    """True when the expression is structurally affine in the variable (see ``_degree``)."""
+    return _degree(expr, name) < 2
 
 
 def pretty(node: Expr) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 from .collocation import CollocationBasis, build_basis, solve_lower, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
 from .kernel_space import build_w23_kernel
-from .problem_model import HomogenizedProblem, ProblemSpec, homogenize
+from .problem_model import HomogenizedProblem, ProblemSpec, homogenize, ode_residual
 
 __all__ = [
     "RkhsSolution",
@@ -72,10 +72,6 @@ class RkhsSolution:
         out = self.basis.chol.T @ self.gamma
         out.setflags(write=False)
         return out
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
 
     def __call__(self, x: float, deriv: int = 0) -> float:
         return evaluate(self, x, deriv)
@@ -146,16 +142,14 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
 def solve_nonlinear(
     problem: ProblemSpec,
     basis: CollocationBasis,
-    initial: Optional[Callable[[float], float]] = None,
     sweeps: int = 1,
     tol: float = 1e-10,
 ) -> RkhsSolution:
     """Sequential forward sweep for general right-hand sides.
 
     The first sweep solves ``L A = f`` row by row in node order, with ``f_l``
-    the right-hand side at the partial sum built so far and ``f_1`` at
-    ``initial(x_1)`` (the original unknown; defaults to the homogenization
-    shift).  Additional sweeps re-evaluate ``f`` at the nodal values ``Psi
+    the right-hand side at the partial sum built so far (zero at the first
+    node).  Additional sweeps re-evaluate ``f`` at the nodal values ``Psi
     gamma``, solve ``L L^T gamma = f`` and stop once the largest nodal change
     is at most ``tol``.
     """
@@ -170,11 +164,10 @@ def solve_nonlinear(
     Y = solve_lower(L, basis.U)
     MC = basis.M @ basis.kernel.C
 
-    v0 = 0.0 if initial is None else initial(pts[0]) - hom.shift(pts[0])
     A = np.zeros(n)
     z = np.zeros(6)
     for l in range(n):
-        f_l = _rhs_at_node(hom, l, pts[l], v0 if l == 0 else float(MC[l] @ z))
+        f_l = _rhs_at_node(hom, l, pts[l], float(MC[l] @ z))
         A[l] = (f_l - float(L[l, :l] @ A[:l])) / L[l, l]
         z += A[l] * Y[l]
     if not np.all(np.isfinite(A)):
@@ -211,7 +204,6 @@ def solve_problem(
     method: str = "auto",
     sweeps: int = 1,
     tol: float = 1e-10,
-    initial: Optional[Callable[[float], float]] = None,
 ) -> RkhsSolution:
     """Build kernel, nodes and basis for ``problem`` and solve it."""
     if n < 1:
@@ -224,20 +216,20 @@ def solve_problem(
         method = "linear" if problem.is_linear else "nonlinear"
     if method == "linear":
         return solve_linear(problem, basis)
-    return solve_nonlinear(problem, basis, initial=initial, sweeps=sweeps, tol=tol)
+    return solve_nonlinear(problem, basis, sweeps=sweeps, tol=tol)
 
 
 def residual_sup_norm(
     sol: Union[RkhsSolution, Callable[[float, int], float]],
     problem: Optional[ProblemSpec] = None,
-    m: int = 200,
 ) -> float:
-    """Max of ``|u'' + (k/x) u' - F(x, u)|`` over interior sample points.
+    """Max of :func:`ode_residual` over interior sample points.
 
-    The samples are the grid ``a + j (T - a) / m``, ``j = 1..m``, which never
-    touches the singular endpoint, and for an ``RkhsSolution`` also the
+    The samples are the grid ``a + j (T - a) / 200``, ``j = 1..200``, which
+    never touches the singular endpoint, and for an ``RkhsSolution`` also the
     midpoints between its nodes (and between ``a`` and the first node), where
-    the residual is not zero by construction.  An ``RkhsSolution`` is
+    the residual is not zero by construction; a sample at the pole ``x = 0``
+    is left out.  An ``RkhsSolution`` is
     evaluated in one vectorized pass; ``sol`` may also be any ``(x, deriv)``
     callable, which lets the exact solution (or an oracle) be measured with
     the same ruler, point by point.
@@ -246,25 +238,20 @@ def residual_sup_norm(
         if not isinstance(sol, RkhsSolution):
             raise ValueError("problem is required when sol is a bare callable")
         problem = sol.problem
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not callable(sol):  # pragma: no cover - RkhsSolution is callable
-        raise ValueError("sol must be callable")
     a = problem.interval.a
-    xs = uniform_points(problem.interval, m).values
+    xs = uniform_points(problem.interval, 200).values
     if isinstance(sol, RkhsSolution):
         nodes = sol.basis.points.values
         xs = np.concatenate([xs, 0.5 * (np.concatenate([[a], nodes[:-1]]) + nodes)])
         u0, u1, u2 = (evaluate(sol, xs, d) for d in range(3))
     else:
         u0, u1, u2 = (np.array([sol(float(x), d) for x in xs]) for d in range(3))
-    f = np.array([problem.rhs(float(x), float(v)) for x, v in zip(xs, u0)])
-    return float(np.max(np.abs(u2 + (problem.k / xs) * u1 - f)))
+    return float(np.max(ode_residual(problem, xs, u0, u1, u2)))
 
 
 @dataclass(frozen=True)
 class ErrorRow:
-    """One comparison point; relative error is absent where exact is zero."""
+    """One point; ``exact`` is the reference value, and no relative error where it is 0."""
 
     x: float
     exact: float
@@ -283,16 +270,17 @@ class ErrorReport:
 def error_report(
     sol: RkhsSolution,
     points: Iterable[float],
-    problem: Optional[ProblemSpec] = None,
+    reference: Optional[Callable[[float], float]] = None,
 ) -> ErrorReport:
-    """Tabulate exact vs. approximate values over ``points``."""
-    problem = problem or sol.problem
-    if problem.exact is None:
-        raise ValueError(f"problem {problem.name!r} has no exact solution")
+    """Tabulate ``reference`` (default: the exact ``u``) vs. approximate values at ``points``."""
+    if reference is None:
+        if sol.problem.exact is None:
+            raise ValueError(f"problem {sol.problem.name!r} has no exact solution")
+        reference = sol.problem.exact.u
     xs = np.array([float(x) for x in points])
     rows = []
     for x, approx in zip(xs.tolist(), evaluate(sol, xs).tolist()):
-        exact = problem.exact.u(x)
+        exact = reference(x)
         absolute = abs(exact - approx)
         relative = absolute / abs(exact) if exact != 0.0 else None
         rows.append(ErrorRow(x, exact, approx, absolute, relative))

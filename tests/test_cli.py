@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from rkhsivp import ExpressionSyntaxError
+from rkhsivp import ExpressionSyntaxError, integrate
 from rkhsivp.cli import (
     CONVERGE_COLUMNS,
     EXACT_COLUMNS,
@@ -143,6 +143,39 @@ class TestSolveConfig:
         assert header == ORACLE_COLUMNS
         assert max(float(r[3]) for r in rows) <= 1e-4
         assert "max oracle deviation" in err
+
+    def test_oracle_table_columns_agree_csv(self, capsys, tmp_path):
+        path = write_config(tmp_path, exact=None)
+        oracle = integrate(load_problem_config(path))
+        code, out, _ = run(capsys, "solve", "--config", path, "--n", "50")
+        assert code == 0
+        # CSV cells carry 16 significant digits, so the columns agree to
+        # the rounding of two values of size about 2.
+        for x, approx, ref, deviation in (map(float, r) for r in parse_csv(out)[1]):
+            assert ref == pytest.approx(oracle.u(x), rel=1e-15)
+            assert deviation == pytest.approx(abs(approx - ref), rel=0, abs=1e-15)
+
+    def test_oracle_table_columns_agree_json(self, capsys, tmp_path):
+        path = write_config(tmp_path, exact=None)
+        oracle = integrate(load_problem_config(path))
+        code, out, _ = run(capsys, "solve", "--config", path, "--n", "50", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["columns"] == list(ORACLE_COLUMNS)
+        for x, approx, ref, deviation in payload["rows"]:
+            assert ref == oracle.u(x)
+            assert deviation == abs(approx - ref)
+        assert payload["max_deviation"] == max(r[3] for r in payload["rows"])
+
+    def test_nan_residual_fails_strict(self, capsys, tmp_path):
+        # exp(1000 x) overflows for x > 0.71, where inf - inf makes F NaN.
+        path = write_config(
+            tmp_path, rhs="6 + (exp(1000*x) - exp(1000*x))", exact="x^2"
+        )
+        code, out, err = run(capsys, "solve", "--config", path, "--strict")
+        assert code == 2
+        assert out == ""
+        assert "max ODE residual nan" in err
 
     def test_missing_key(self, capsys, tmp_path):
         path = write_config(tmp_path, k=None)
@@ -335,6 +368,45 @@ class TestNodeAtOrigin:
         assert code == 0, err
         _, rows = parse_csv(out)
         assert max(float(r[3]) for r in rows) < 1e-1
+
+
+class TestPoleInsideInterval:
+    """a < 0 < T with samples, not nodes, at x = 0: residuals leave them out."""
+
+    def run_config(self, capsys, tmp_path, *argv, **config):
+        path = write_config(tmp_path, name="parabola", **config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, argv[0], "--config", path, *argv[1:])
+
+    def test_exact_check_skips_pole(self, capsys, tmp_path):
+        # The check's sample a + 5 (T - a) / 25 is x = 0 on [-1, 4].
+        code, out, err = self.run_config(
+            capsys, tmp_path, "solve", "--n", "49", "--grid", "0.5,1",
+            k=2, a=-1, T=4, alpha=2, beta=-2, rhs="6", exact="x^2 + 1",
+        )
+        assert code == 0, err
+        assert "warning" not in err
+        _, rows = parse_csv(out)
+        assert max(float(r[3]) for r in rows) < 1e-2
+
+    @pytest.mark.parametrize(
+        "k, rhs, exact, alpha",
+        [(2, "6 + 2*u - 2*x^2 - 2", "x^2 + 1", 2), (0, "2", "x^2", 1)],
+        ids=["k2", "k0"],
+    )
+    def test_converge_residual_finite(self, capsys, tmp_path, k, rhs, exact, alpha):
+        # Grid point 100 of 200 is x = 0 on [-1, 1], and at n = 51 a node
+        # midpoint rounds to 5.6e-17.
+        code, out, err = self.run_config(
+            capsys, tmp_path, "converge", "--n-list", "25,51,99",
+            k=k, a=-1, T=1, alpha=alpha, beta=-2, rhs=rhs, exact=exact,
+        )
+        assert code == 0, err
+        assert err == ""
+        residuals = [float(r[2]) for r in parse_csv(out)[1]]
+        assert all(math.isfinite(r) for r in residuals)
+        assert residuals[0] > residuals[1] > residuals[2]
 
 
 class TestConverge:

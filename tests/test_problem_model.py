@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rkhsivp import (
@@ -15,6 +16,22 @@ from rkhsivp import (
     homogenize,
     verify_exact,
 )
+from rkhsivp.problem_model import ode_residual
+
+
+def parabola(k, a, T, rhs):
+    """u = x^2 + 1 on [a, T]; ``rhs`` is taken as given, right or wrong."""
+    return ProblemSpec(
+        name="parabola",
+        k=float(k),
+        interval=Interval(float(a), float(T)),
+        alpha=a * a + 1.0,
+        beta=2.0 * a,
+        rhs=rhs,
+        exact=ExactSolution(
+            u=lambda x: x * x + 1.0, du=lambda x: 2.0 * x, d2u=lambda x: 2.0
+        ),
+    )
 
 
 class TestBuiltins:
@@ -107,6 +124,38 @@ class TestVerifyExact:
         with pytest.raises(ValueError):
             verify_exact(bare)
 
+    def test_grid_point_on_pole_left_out(self):
+        # On [-1, 4] the sample a + 5 (T - a) / 25 is x = 0 exactly.
+        report = verify_exact(parabola(2, -1, 4, lambda x, u: 6.0))
+        assert report.ok
+        assert report.max_residual <= 1e-8
+
+    def test_nan_residual_fails(self):
+        report = verify_exact(
+            parabola(2, 0, 1, lambda x, u: math.nan if x > 0.7 else 6.0)
+        )
+        assert math.isnan(report.max_residual)
+        assert not report.ok
+
+
+class TestOdeResidual:
+    def test_leaves_out_only_near_zero_samples(self):
+        # With zero derivatives and F(x, u) = x the residual is |x| itself,
+        # so the result shows exactly which samples were kept.
+        for T, near_zero, kept in ((1.0, 5.6e-17, 1e-15), (1e6, 5e-10, 1e-9)):
+            problem = parabola(2, -T, T, lambda x, u: x)
+            xs = np.array([-0.5, -near_zero, 0.0, near_zero, kept, 0.5])
+            zeros = np.zeros_like(xs)
+            residual = ode_residual(problem, xs, zeros, zeros, zeros)
+            np.testing.assert_array_equal(residual, [0.5, kept, 0.5])
+
+    def test_keeps_every_sample_away_from_zero(self):
+        problem = parabola(2, 0, 1, lambda x, u: 6.0)
+        xs = np.linspace(0.1, 1.0, 10)
+        residual = ode_residual(problem, xs, xs**2 + 1, 2 * xs, 2 + 0 * xs)
+        assert residual.shape == xs.shape
+        assert np.max(residual) <= 1e-14
+
 
 class TestHomogenize:
     def test_identity_when_data_is_zero(self, ex1):
@@ -184,6 +233,3 @@ class TestExactSolutionFromFunction:
         exact = ExactSolution.from_function(lambda x: x**3 + x**2)
         assert exact.du(0.5) == pytest.approx(3 * 0.25 + 1.0, abs=1e-11)
         assert exact.d2u(0.5) == pytest.approx(3 + 2.0, abs=1e-8)
-
-    def test_callable_protocol(self, ex1):
-        assert ex1.exact(0.5) == ex1.exact.u(0.5)

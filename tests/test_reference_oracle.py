@@ -127,22 +127,11 @@ class TestTrajectory:
         for x in (0.25, 0.5, 0.75):
             assert traj.du(x) == pytest.approx(ex1.exact.du(x), abs=1e-7)
 
-    def test_call_protocol(self, ex1):
-        traj = integrate(ex1)
-        assert traj(0.5) == traj.u(0.5)
-        assert traj(0.5, 1) == traj.du(0.5)
-        with pytest.raises(ValueError):
-            traj(0.5, 2)
-
 
 class TestValidation:
     def test_tol_must_be_positive(self, ex1):
         with pytest.raises(ValueError):
             integrate(ex1, tol=0.0)
-
-    def test_samples_floor(self, ex1):
-        with pytest.raises(ValueError):
-            integrate(ex1, samples=1)
 
     def test_step_budget(self, ex1):
         with pytest.raises(NumericError, match="budget"):

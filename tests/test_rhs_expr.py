@@ -7,6 +7,8 @@ import re
 import string
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rkhsivp.errors import ExpressionDomainError, ExpressionSyntaxError
 from rkhsivp.rhs_expr import (
@@ -203,6 +205,21 @@ class TestErrors:
         assert err.value.subexpression == sub
 
 
+TREES = st.recursive(
+    st.one_of(
+        st.just(Name("u")),
+        st.sampled_from([Name("x"), Name("pi"), Name("e")]),
+        st.builds(Num, st.floats(0, 10)),
+    ),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+    ),
+    max_leaves=12,
+)
+
+
 class TestStructureQueries:
     @pytest.mark.parametrize(
         "text,expected",
@@ -229,6 +246,38 @@ class TestStructureQueries:
         tree = parse("x^2 + ln(u)")
         assert depends_on(tree, "x") and depends_on(tree, "u")
         assert not depends_on(parse("pi*e + 1"), "x")
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=TREES, x=st.floats(-3, 3))
+    def test_affine_answer_is_exact(self, tree, x):
+        # A second difference in u of an affine F vanishes up to rounding.
+        assume(affine_in(tree, "u"))
+        try:
+            f0, f1, f2 = (evaluate(tree, x, u) for u in (0.0, 1.0, 2.0))
+        except ExpressionDomainError:
+            assume(False)
+        scale = _magnitude(tree, x)
+        assume(all(map(math.isfinite, (f0, f1, f2, scale))))
+        assert abs(f2 - 2 * f1 + f0) <= 1e-12 * scale + 1e-300
+
+
+def _magnitude(node, x):
+    """Bound on ``|node|`` for ``u`` in [0, 2], for an affine ``node``.
+
+    A subtree free of ``u`` evaluates to the same constant at every ``u``,
+    so its rounding cancels in the second difference; the rounding of the
+    other operations is at most a few ulps of this bound.
+    """
+    if not depends_on(node, "u"):
+        return abs(evaluate(node, x, 0.0))
+    if isinstance(node, Name):
+        return 2.0
+    if isinstance(node, Neg):
+        return _magnitude(node.operand, x)
+    left, right = _magnitude(node.left, x), _magnitude(node.right, x)
+    if node.op == "/":
+        return left / right
+    return left * right if node.op == "*" else left + right
 
 
 class TestFuzz:

@@ -26,6 +26,7 @@ from rkhsivp import (
     error_report,
     evaluate,
     homogenize,
+    integrate,
     orthonormalize,
     residual_sup_norm,
     solve_linear,
@@ -176,23 +177,6 @@ class TestNonlinearSweeps:
         basis = build_basis(kernel01, ex2.k, uniform_points(unit_interval, 5))
         with pytest.raises(ValueError):
             solve_nonlinear(ex2, basis, sweeps=0)
-
-    def test_initial_guess_accepted(self, ex2, kernel01, unit_interval):
-        basis = build_basis(kernel01, ex2.k, uniform_points(unit_interval, 60))
-        guided = solve_nonlinear(ex2, basis, initial=ex2.exact.u, sweeps=1)
-        err = max(abs(evaluate(guided, x) - ex2.exact.u(x)) for x in TABLE_GRID)
-        assert err <= 1e-5
-
-    def test_initial_read_at_first_node_only(self, ex2, kernel01, unit_interval):
-        basis = build_basis(kernel01, ex2.k, uniform_points(unit_interval, 20))
-        calls = []
-
-        def initial(x):
-            calls.append(x)
-            return ex2.exact.u(x)
-
-        solve_nonlinear(ex2, basis, initial=initial, sweeps=3)
-        assert calls == [basis.points.values[0]]
 
     def test_domain_error_names_node(self, kernel01, unit_interval):
         tree = parse("ln(u)")
@@ -470,6 +454,17 @@ class TestResidual:
         residuals = [residual_sup_norm(solve_problem(ex1, n=n)) for n in (100, 200, 400)]
         assert residuals[0] > residuals[1] > residuals[2] > 1e-3
 
+    @pytest.mark.parametrize("k", [0.0, 2.0])
+    def test_pole_inside_interval_left_out(self, k):
+        # On [-1, 1] grid point 100 is x = 0, and at n = 51 a node midpoint
+        # rounds to 5.6e-17; k/x must see neither.
+        problem = dataclasses.replace(
+            manufactured_square(k), interval=Interval(-1.0, 1.0), alpha=1.0, beta=-2.0
+        )
+        residuals = [residual_sup_norm(solve_problem(problem, n=n)) for n in (25, 51, 99)]
+        assert all(math.isfinite(r) for r in residuals)
+        assert residuals[0] > residuals[1] > residuals[2]
+
     def test_callable_needs_problem(self, ex1):
         with pytest.raises(ValueError):
             residual_sup_norm(lambda x, d: 0.0)
@@ -526,3 +521,27 @@ class TestErrorReport:
         sol = solve_nonlinear(blind, basis)
         with pytest.raises(ValueError, match="exact"):
             error_report(sol, (0.5,))
+
+    def test_oracle_reference(self, ex2, kernel01, unit_interval):
+        basis = build_basis(kernel01, ex2.k, uniform_points(unit_interval, 40))
+        blind = dataclasses.replace(ex2, exact=None)
+        sol = solve_nonlinear(blind, basis)
+        oracle = integrate(blind)
+        report = error_report(sol, TABLE_GRID, oracle.u)
+        assert [r.x for r in report.rows] == list(TABLE_GRID)
+        approx = evaluate(sol, np.array(TABLE_GRID))
+        for row, value in zip(report.rows, approx):
+            assert row.exact == oracle.u(row.x)
+            assert row.approximate == value
+            assert row.absolute == abs(row.exact - row.approximate)
+        assert report.max_absolute == max(r.absolute for r in report.rows)
+        # The oracle agrees with the exact solution far inside the error.
+        exact = error_report(solve_nonlinear(ex2, basis), TABLE_GRID)
+        assert report.max_absolute == pytest.approx(exact.max_absolute, rel=1e-3)
+
+    def test_reference_overrides_exact(self, ex1):
+        sol = solve_problem(ex1, n=20)
+        report = error_report(sol, (0.5,), lambda x: 0.0)
+        assert report.rows[0].exact == 0.0
+        assert report.rows[0].absolute == abs(report.rows[0].approximate)
+        assert report.rows[0].approximate == pytest.approx(evaluate(sol, 0.5), rel=1e-14)
