@@ -195,17 +195,20 @@ def _timed_solve(
 ) -> tuple[RkhsSolution, float]:
     """Solve with the command's solver options.
 
-    The clock covers the whole solve, kernel and basis set-up included.
+    The clock covers the whole solve, kernel and basis set-up included.  Sweeps
+    that stop at ``--sweeps`` above ``--tol`` warn, or fail under ``--strict``.
     """
     start = time.perf_counter()
     sol = solve_problem(problem, n=n, method=args.method, sweeps=args.sweeps, tol=args.tol)
     seconds = time.perf_counter() - start
     if sol.final_change is not None and sol.final_change > args.tol:
-        print(
-            f"warning: {problem.name}: n={n}: stopped after {sol.sweeps_used} sweeps, "
-            f"last change {sol.final_change:.3e} above --tol {args.tol:.3e}",
-            file=sys.stderr,
+        msg = (
+            f"{problem.name}: n={n}: stopped after {sol.sweeps_used} sweeps, "
+            f"last change {sol.final_change:.3e} above --tol {args.tol:.3e}"
         )
+        if args.strict:
+            raise NumericError(msg)
+        print(f"warning: {msg}", file=sys.stderr)
     return sol, seconds
 
 
@@ -391,7 +394,8 @@ def _add_problem_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="escalate exact-solution validation warnings to errors",
+        help="escalate warnings to errors: a failed exact-solution check "
+        "(exit 2) and sweeps stopped at --sweeps above --tol (exit 4)",
     )
 
 

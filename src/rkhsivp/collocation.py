@@ -11,14 +11,19 @@ letting ``U[i]`` be the operator applied to the monomials ``m(y - a)`` at
     G[j, i]   = U[j] . C U[i]             (x_i <= x_j; C^T otherwise)
     Psi[j, i] = M[j] . C U[i]             (likewise; M[j] = m(x_j - a))
 
-and ``G - diag(q) Psi`` takes the rows ``U - diag(q) M``.  No quadrature and
-no finite differences enter; the quadrature inner product exists only as an
-independent oracle in the tests.
+and ``K = G - diag(q) Psi`` takes the rows ``U - diag(q) M``.  No quadrature
+and no finite differences enter; the quadrature inner product exists only as
+an independent oracle in the tests.
 
-The Cholesky factor ``G = L L^T`` is never inverted on the solve path: the
-orthonormal system is ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
-recurrence, but stable at the node counts the benchmark tables need), and
-each product with ``L^{-1}`` is a blocked substitution (:func:`solve_lower`).
+So off its diagonal every such matrix is a 6-wide product of generators: it
+is quasiseparable of rank 6.  The linear solve with ``K`` uses that directly
+(:meth:`CollocationBasis.solve_collocation`, a block LU in O(n) time and
+memory); the dense ``K`` is built only as the tests' reference.  The
+nonlinear path factors the dense Gram matrix, ``G = L L^T``, and never
+inverts ``L``: the orthonormal system is ``psibar = L^{-1} psi`` (the
+classical Gram-Schmidt recurrence, but stable at the node counts the
+benchmark tables need), and each product with ``L^{-1}`` is a blocked
+substitution (:func:`solve_lower`).
 """
 
 from __future__ import annotations
@@ -41,8 +46,12 @@ __all__ = [
     "solve_lower",
 ]
 
-# Width of the diagonal blocks in solve_lower.
+# Width of the diagonal blocks in solve_lower, and the largest block of
+# _block_lu_solve.
 _BLOCK = 64
+# Backward errors of the linear solve: refinement stops at _REFINED, and a
+# system still above _SINGULAR after _REFINE_STEPS steps is refused.
+_REFINED, _SINGULAR, _REFINE_STEPS = 1e-14, 1e-10, 3
 
 
 @dataclass(frozen=True)
@@ -235,10 +244,110 @@ class CollocationBasis:
         return out
 
     def collocation_matrix(self, q: np.ndarray) -> np.ndarray:
-        """``K = G - diag(q) Psi``, built from the rows ``U - diag(q) M``."""
+        """``K = G - diag(q) Psi``, built from the rows ``U - diag(q) M``.
+
+        The solvers never form it (see :meth:`solve_collocation`); it is the
+        dense reference the tests compare against.
+        """
         rows = self.U - np.asarray(q, dtype=float)[:, None] * self.M
         with np.errstate(invalid="ignore", over="ignore"):  # the solve checks finiteness
             return self._kernel_rows(rows, self.points.values)
+
+    def solve_collocation(self, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``gamma`` with ``(G - diag(q) Psi) gamma = g``, without forming the matrix.
+
+        With ``P = U - diag(q) M`` the matrix ``K`` has ``K[i, j] = P[i] . C
+        U[j]`` for ``j <= i`` and ``P[i] . C^T U[j]`` for ``j > i``: it is
+        quasiseparable of rank 6, and :func:`_block_lu_solve` factors it in
+        O(n) time and memory.  That factor pivots only within its blocks, so
+        the backward error ``|g - K gamma| / (max|K_ii| |gamma|)`` is measured
+        with the same generators; above ``_REFINED`` it is brought down by up
+        to ``_REFINE_STEPS`` steps of iterative refinement.  A system still
+        above ``_SINGULAR`` is singular to working precision (cond(K) beyond
+        about 1e16, where a growing mode outruns double precision) and raises
+        ``NumericError``.
+        """
+        g = np.asarray(g, dtype=float)
+        P = self.U - np.asarray(q, dtype=float)[:, None] * self.M
+        Qt, Rt = self._left, self._right
+        # Overflow (such as an infinite k) shows as a non-finite block.
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.max(np.abs(np.einsum("ip,pi->i", P, Qt)))  # max |K_ii|
+            gamma = _block_lu_solve(P, Qt, Rt, g)
+            for _ in range(_REFINE_STEPS):
+                residual = g - _quasiseparable_product(P, Qt, Rt, gamma)
+                if np.max(np.abs(residual)) <= _REFINED * scale * np.max(np.abs(gamma)):
+                    return gamma
+                gamma = gamma + _block_lu_solve(P, Qt, Rt, residual)
+            residual = np.abs(g - _quasiseparable_product(P, Qt, Rt, gamma))
+        error = np.max(residual) / (scale * np.max(np.abs(gamma)))
+        if not error <= _SINGULAR:
+            raise NumericError(
+                "collocation system is singular to working precision: backward error "
+                f"{error:.1e} after {_REFINE_STEPS} refinement steps, largest at node "
+                f"{int(np.argmax(residual)) + 1}"
+            )
+        return gamma
+
+
+def _quasiseparable_product(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
+                            x: np.ndarray) -> np.ndarray:
+    """``K x`` for ``K[i, j] = P[i] . Qt[:, j]`` (``j <= i``), ``P[i] . Rt[:, j]`` (``j > i``)."""
+    lower = np.cumsum(Qt * x, axis=1)
+    upper = np.zeros_like(lower)
+    upper[:, :-1] = np.cumsum((Rt * x)[:, :0:-1], axis=1)[:, ::-1]
+    return np.einsum("ip,pi->i", P, lower + upper)
+
+
+def _block_lu_solve(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """``x`` with ``K x = g``, ``K`` as in :func:`_quasiseparable_product`.
+
+    A block LU whose off-diagonal blocks are kept as one 6x6 state ``S``.
+    The nodes are cut into near-equal blocks of at most ``_BLOCK`` (a short
+    trailing block cost digits).  Block ``J`` forms only its diagonal block
+    ``D_J = K_JJ - P_J S R_J^T``, with ``R_J^T = Rt[:, J]`` and ``Q_J^T =
+    Qt[:, J]``, and solves it, pivoting within the block, for ``y_J = g_J -
+    P_J z`` and ``E_J = P_J (I - S)`` at once.  With ``X_J^T = Q_J^T - S
+    R_J^T`` the forward pass moves on by ``S += X_J^T D_J^{-1} E_J`` and ``z
+    += X_J^T D_J^{-1} y_J``; the backward pass is ``x_J = D_J^{-1} (y_J - E_J
+    w)``, ``w += R_J^T x_J``.
+    """
+    n = len(g)
+    edges = np.linspace(0, n, -(-n // _BLOCK) + 1).round().astype(int)
+    blocks = [slice(j0, j1) for j0, j1 in zip(edges[:-1], edges[1:])]
+    lower = np.tri(_BLOCK, dtype=bool)
+    S, z = np.zeros((6, 6)), np.zeros(6)
+    Y, F = np.empty(n), np.empty((n, 6))  # D_J^{-1} y_J and D_J^{-1} E_J
+    for J in blocks:
+        PJ, RJt = P[J], Rt[:, J]
+        Xt = Qt[:, J] - S @ RJt
+        E = PJ - PJ @ S
+        b = len(PJ)
+        D = np.where(lower[:b, :b], PJ @ Xt, E @ RJt)
+        try:
+            sol = np.linalg.solve(D, np.column_stack([g[J] - PJ @ z, E]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"collocation system is singular at {_nodes(J)}") from exc
+        _require_finite(sol, J)
+        Y[J], F[J] = sol[:, 0], sol[:, 1:]
+        S += Xt @ F[J]
+        z += Xt @ Y[J]
+    x, w = np.empty(n), np.zeros(6)
+    for J in reversed(blocks):
+        x[J] = Y[J] - F[J] @ w
+        _require_finite(x[J], J)
+        w += Rt[:, J] @ x[J]
+    return x
+
+
+def _nodes(J: slice) -> str:
+    return f"nodes {J.start + 1}..{J.stop}"
+
+
+def _require_finite(values: np.ndarray, J: slice) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"collocation solve produced non-finite values at {_nodes(J)}")
 
 
 def build_basis(kernel: W23Kernel, k: float, points: PointSet) -> CollocationBasis:

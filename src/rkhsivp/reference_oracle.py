@@ -17,7 +17,8 @@ there a regular solution needs ``u'(a) = 0`` and the limit ``(k/x) u' -> k
 u''(a)`` turns the equation into ``u''(a) = F(a, alpha) / (1 + k)``, which is
 what the right-hand side returns inside a small radius of the endpoint.  For
 ``a > 0`` the equation is not singular anywhere on the domain and no
-regularization is applied.
+regularization is applied.  For ``a < 0 <= T`` and ``k != 0`` the pole lies
+on the path of integration, and the oracle refuses the problem.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def regularized_rhs(problem: ProblemSpec, x: float, u: float, up: float) -> floa
                 f"got beta = {problem.beta}"
             )
         return problem.rhs(x, u) / (1.0 + k)
+    if k == 0.0:  # no pole, so x = 0 (a sample when a < 0 < T) is ordinary
+        return problem.rhs(x, u)
     return problem.rhs(x, u) - (k / x) * up
 
 
@@ -222,7 +225,9 @@ def integrate(
     """Integrate ``problem`` over its interval with local error bound ``tol``.
 
     ``tol`` is both the absolute and the relative tolerance; a relative
-    tolerance below ``100 eps`` is raised to that floor with a warning.
+    tolerance below ``100 eps`` is raised to that floor with a warning.  With
+    ``a < 0 <= T`` and ``k != 0`` the pole ``x = 0`` of ``k/x`` lies on the
+    path, and a ``SingularityError`` is raised before any step.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -231,6 +236,11 @@ def integrate(
         raise SingularityError(
             "a = 0 requires u'(a) = 0 for a regular solution; "
             f"got beta = {problem.beta}"
+        )
+    if a < 0.0 <= T and problem.k != 0.0:
+        raise SingularityError(
+            f"the reference oracle cannot integrate through x = 0 on [{a:g}, {T:g}], "
+            "where k/x is singular; give the config an exact solution ('exact')"
         )
 
     def rhs(x, y):

@@ -255,10 +255,11 @@ def _eval(node: Expr, x: float, u: float) -> float:
             if v < 0.0:
                 _domain(f"square root of negative value {v}", node)
             return math.sqrt(v)
+        # sin and cos of an infinity are NaN, as in IEEE (math raises).
         if node.func == "sin":
-            return math.sin(v)
+            return math.sin(v) if not math.isinf(v) else math.nan
         if node.func == "cos":
-            return math.cos(v)
+            return math.cos(v) if not math.isinf(v) else math.nan
         if node.func == "sinh":
             try:
                 return math.sinh(v)
@@ -284,8 +285,8 @@ def _eval(node: Expr, x: float, u: float) -> float:
         if rv == 0.0:
             _domain("division by zero", node)
         return lv / rv
-    # power
-    if lv < 0.0 and rv != math.floor(rv):
+    # power; an infinite exponent counts as an even integer, as in IEEE pow
+    if lv < 0.0 and math.isfinite(rv) and rv != math.floor(rv):
         _domain(f"fractional power of negative base {lv}", node)
     if lv == 0.0 and rv < 0.0:
         _domain("zero raised to a negative power", node)

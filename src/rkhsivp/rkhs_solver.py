@@ -3,8 +3,9 @@
 The homogenized unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
 with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
 the Gram matrix; no inverse of ``L`` is formed.  For an affine right-hand
-side ``g(x) + q(x) v`` collocation is one LU solve of ``(G - diag(q) Psi)
-gamma = g``, whose matrix is one product of the basis generators.  Otherwise
+side ``g(x) + q(x) v`` collocation is one solve of ``(G - diag(q) Psi) gamma
+= g``, a block LU built from the basis generators in O(n) time and memory,
+with no n x n matrix and no Cholesky factor.  Otherwise
 a single forward sweep computes ``A`` in node order by forward substitution
 with ``L``, evaluating the right-hand side at the running partial sums;
 optional further sweeps re-feed the previous full solution until the nodal
@@ -119,23 +120,14 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
 
     With ``v = sum_i gamma_i psi_i`` the collocation conditions ``(L v)(x_j)
     = g(x_j) + q(x_j) v(x_j)`` read ``(G - diag(q) Psi) gamma = g``, where
-    ``Psi[j, i] = psi_i(x_j)``: one LU solve, with no orthonormalization.
+    ``Psi[j, i] = psi_i(x_j)``: one block LU solve from the basis generators
+    (:meth:`CollocationBasis.solve_collocation`), with no n x n matrix formed.
     """
     if problem.affine is None:
         raise ValueError(f"problem {problem.name!r} has no affine right-hand side form")
-    hom = homogenize(problem)
-    aff = hom.affine
+    aff = homogenize(problem).affine
     pts = basis.points.values
-    gv = np.array([aff.g(x) for x in pts])
-    K = basis.collocation_matrix([aff.q(x) for x in pts])
-    try:
-        gamma = np.linalg.solve(K, gv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"collocation system is singular (cond ~ {np.linalg.cond(K):.3e})"
-        ) from exc
-    if not np.all(np.isfinite(gamma)):
-        raise NumericError("collocation solve produced non-finite values")
+    gamma = basis.solve_collocation([aff.q(x) for x in pts], [aff.g(x) for x in pts])
     return RkhsSolution(basis, problem, gamma, method="linear")
 
 

@@ -249,7 +249,7 @@ class TestSolveConfig:
 
 
 class TestSweepCap:
-    """Sweeps that stop at ``--sweeps`` above ``--tol`` say so on stderr."""
+    """Sweeps that stop at ``--sweeps`` above ``--tol`` warn, or fail under ``--strict``."""
 
     EX2 = ("--problem", "ex2", "--n", "100")
 
@@ -270,6 +270,31 @@ class TestSweepCap:
         code, _, err = run(capsys, "solve", *self.EX2, *options)
         assert code == 0
         assert "warning" not in err
+
+    def test_cap_reached_fails_strict(self, capsys):
+        options = ("--sweeps", "3", "--tol", "1e-14")
+        _, _, warned = run(capsys, "solve", *self.EX2, *options)
+        code, out, err = run(capsys, "solve", *self.EX2, *options, "--strict")
+        assert code == 4
+        assert out == ""
+        assert err == warned.splitlines()[0].replace("warning:", "error:", 1) + "\n"
+
+    def test_strict_converged_unchanged(self, capsys):
+        options = ("--sweeps", "50", "--tol", "1e-10")
+        plain = run(capsys, "solve", *self.EX2, *options)
+        strict = run(capsys, "solve", *self.EX2, *options, "--strict")
+        assert strict[:2] == plain[:2] == (0, plain[1])
+        assert "warning" not in strict[2]
+
+    def test_converge_fails_strict_at_first_capped_n(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--problem", "ex2", "--n-list", "25,50",
+            "--sweeps", "2", "--tol", "1e-14", "--strict",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ex2: n=25: stopped after 2 sweeps")
+        assert "n=50" not in err
 
     def test_converge_warns_per_n(self, capsys):
         code, _, err = run(
@@ -407,6 +432,35 @@ class TestPoleInsideInterval:
         residuals = [float(r[2]) for r in parse_csv(out)[1]]
         assert all(math.isfinite(r) for r in residuals)
         assert residuals[0] > residuals[1] > residuals[2]
+
+    @pytest.mark.parametrize(
+        "argv, T",
+        [(("solve", "--n", "25", "--grid", "0.5,1"), 1), (("converge", "--n-list", "25,51"), 1),
+         (("converge", "--n-list", "25"), 0)],
+        ids=["solve", "converge", "converge-T0"],
+    )
+    def test_oracle_refuses_pole(self, capsys, tmp_path, argv, T):
+        # Without exact the RK oracle is the reference, and it cannot cross x = 0.
+        code, out, err = self.run_config(
+            capsys, tmp_path, *argv,
+            k=2, a=-1, T=T, alpha=2, beta=-2, rhs="6 + 2*u - 2*x^2 - 2", exact=None,
+        )
+        assert code == 5
+        assert out == ""
+        assert err == (
+            f"error: the reference oracle cannot integrate through x = 0 on [-1, {T}], "
+            "where k/x is singular; give the config an exact solution ('exact')\n"
+        )
+
+    def test_oracle_without_pole_crosses_origin(self, capsys, tmp_path):
+        code, out, err = self.run_config(
+            capsys, tmp_path, "solve", "--n", "25", "--grid=-0.5,0,0.5",
+            k=0, a=-1, T=1, alpha=1, beta=-2, rhs="2", exact=None,
+        )
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert header == ORACLE_COLUMNS
+        assert [float(r[2]) for r in rows] == pytest.approx([0.25, 0.0, 0.25], abs=1e-9)
 
 
 class TestConverge:

@@ -1,5 +1,6 @@
 """Reference integrator: regularization at the left endpoint, accuracy pins."""
 
+import dataclasses
 import math
 import warnings
 
@@ -148,6 +149,41 @@ class TestValidation:
         )
         with pytest.raises(SingularityError):
             integrate(tilted)
+
+
+def parabola_across_origin(k, T):
+    """u = x^2 + 1 from a = -1: smooth through x = 0, where k/x has its pole."""
+    return ProblemSpec(
+        name="parabola",
+        k=k,
+        interval=Interval(-1.0, T),
+        alpha=2.0,
+        beta=-2.0,
+        rhs=lambda x, u: 2.0 + 2.0 * k,
+    )
+
+
+class TestPoleInsideInterval:
+    @pytest.mark.parametrize("T", [1.0, 0.0])
+    def test_refused_before_stepping(self, T):
+        problem = parabola_across_origin(2.0, T)
+        calls = []
+        counted = dataclasses.replace(problem, rhs=lambda x, u: calls.append(x) or 6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="cannot integrate through x = 0"):
+                integrate(counted)
+        assert calls == []
+
+    def test_no_pole_without_k(self):
+        # With k = 0 the sample at x = 0 is an ordinary point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(parabola_across_origin(0.0, 1.0))
+        assert 0.0 in traj.xs
+        assert np.all(np.isfinite(traj.upps))
+        for x in (-0.5, 0.0, 0.7):
+            assert traj.u(x) == pytest.approx(x * x + 1.0, abs=1e-9)
 
 
 def offset_problem():

@@ -77,6 +77,17 @@ class TestSemantics:
         assert ev("cosh(1000)") == math.inf
         assert math.isnan(ev("exp(1000) - exp(1000)"))
 
+    def test_infinite_exponent_of_negative_base(self):
+        # IEEE pow: (-1)^inf = 1, (-2)^inf = inf, (-2)^-inf = 0, NaN passes through.
+        assert ev("(-1)^exp(exp(7))") == 1.0
+        assert ev("(-2)^exp(1000)") == math.inf
+        assert ev("(-2)^-exp(1000)") == 0.0
+        assert math.isnan(ev("(-1)^(exp(1000) - exp(1000))"))
+
+    def test_trig_of_infinity_is_nan(self):
+        assert math.isnan(ev("sin(exp(exp(7)))"))
+        assert math.isnan(ev("cos(-exp(1000))"))
+
 
 class TestAst:
     def test_shape_of_difference(self):

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rkhsivp
@@ -21,7 +22,9 @@ from rkhsivp import (
     Interval,
     NumericError,
     ProblemSpec,
+    RkhsSolution,
     build_basis,
+    build_w23_kernel,
     builtin,
     error_report,
     evaluate,
@@ -67,10 +70,11 @@ class TestLinearPath:
 
     @pytest.mark.parametrize("k", [math.inf, 1e300])
     def test_overflowing_k_is_numeric_error_without_warnings(self, ex1, k):
-        # The linear path never forms G, so its own finiteness check reports it.
+        # The linear path never forms G, so its own finiteness check reports
+        # it, naming the block's nodes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="non-finite"):
+            with pytest.raises(NumericError, match=r"non-finite values at nodes 1\.\.5$"):
                 solve_problem(dataclasses.replace(ex1, k=k), n=5)
 
     def test_pinned_grid_value(self, ex1):
@@ -305,6 +309,100 @@ class TestFactoredSolve:
             assert sol.method == "nonlinear"
             assert "chol" in cached
         assert "beta" not in cached
+
+
+class TestBlockSolve:
+    """The linear path's block LU against the dense ``K`` it never forms."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.0, 10.0),
+        a=st.floats(0.0, 3.0),
+        length=st.floats(0.5, 10.0),
+        n=st.integers(1, 300),
+        s=st.floats(-100.0, 100.0),
+        omega=st.floats(0.0, 3.0),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    @example(k=2.0, a=0.0, length=1.0, n=63, s=-1.0, omega=0.0, phi=0.0)
+    @example(k=5.0, a=1.0, length=4.0, n=64, s=30.0, omega=1.0, phi=0.5)
+    @example(k=3.0, a=0.5, length=6.0, n=128, s=-80.0, omega=2.0, phi=1.0)
+    # cond(K) ~ 4e14; with a one-node trailing block and no refinement the
+    # backward error was 1.5e-10.
+    @example(k=9.190886196338225, a=2.4804759886701633, length=8.912442533744494,
+             n=65, s=-50.88954655136448, omega=2.305550996688763, phi=0.0)
+    def test_normwise_backward_error(self, k, a, length, n, s, omega, phi):
+        interval = Interval(a, a + length)
+        basis = build_basis(build_w23_kernel(interval), k, uniform_points(interval, n))
+        x = basis.points.values
+        q = s * np.cos(omega * x + phi)
+        g = np.cos(x) + x
+        K = basis.collocation_matrix(q)
+        try:
+            gamma = basis.solve_collocation(q, g)
+        except NumericError as exc:
+            # Refused only when K is singular to working precision, as with
+            # q ~ +100 on a long interval, where the solution grows like e^100.
+            assert "singular to working precision" in str(exc)
+            assert np.linalg.cond(K) * np.finfo(float).eps > 1
+            return
+        scale = np.max(np.abs(K)) * np.max(np.abs(gamma))
+        assert np.max(np.abs(K @ gamma - g)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 400, 1600])
+    @pytest.mark.parametrize(
+        "problem", [builtin("ex1"), shifted_affine_problem()], ids=["ex1", "shifted"]
+    )
+    def test_matches_dense_pivoted_solve(self, problem, n):
+        sol = solve_problem(problem, n=n)
+        aff = homogenize(problem).affine
+        x = sol.basis.points.values
+        K = sol.basis.collocation_matrix([aff.q(v) for v in x])
+        dense = RkhsSolution(
+            sol.basis, problem, np.linalg.solve(K, [aff.g(v) for v in x]), "linear"
+        )
+        # u, u' and u'' at the nodes and on a grid; gamma itself carries
+        # rounding of order cond(K) eps (cond(K) ~ 1e8 at n = 1600) on both sides.
+        xs = np.concatenate([x, uniform_points(problem.interval, 200).values])
+        for d in range(3):
+            want = evaluate(dense, xs, d)
+            assert np.max(np.abs(evaluate(sol, xs, d) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_singular_block_names_its_nodes(self, kernel01, unit_interval):
+        # n = 1, k = 0 on [0, 1]: G = 2 and Psi = 2/3, so q = 3 makes K exactly 0.
+        problem = ProblemSpec(
+            name="null", k=0.0, interval=unit_interval, alpha=0.0, beta=0.0,
+            rhs=lambda x, u: 1.0 + 3.0 * u,
+            affine=AffineRhs(g=lambda x: 1.0, q=lambda x: 3.0),
+        )
+        basis = build_basis(kernel01, 0.0, uniform_points(unit_interval, 1))
+        with pytest.raises(NumericError, match=r"singular at nodes 1\.\.1$"):
+            solve_linear(problem, basis)
+
+    def test_singular_to_working_precision_refused(self):
+        # u'' = cos x + 100 u on [0, 10]: cond(K) ~ 3e17 at n = 200.
+        problem = ProblemSpec(
+            name="growing", k=0.0, interval=Interval(0.0, 10.0), alpha=0.0, beta=0.0,
+            rhs=lambda x, u: math.cos(x) + 100.0 * u,
+            affine=AffineRhs(g=math.cos, q=lambda x: 100.0),
+        )
+        with pytest.raises(NumericError, match="singular to working precision"):
+            solve_problem(problem, n=200)
+
+    def test_large_n_in_linear_memory(self, ex1):
+        # One n x n array of floats takes 82 MB at n = 3,200 and 5.2 GB at
+        # 25,600, so a solver that forms one fails at the first n.
+        for n in (3_200, 25_600):
+            tracemalloc.start()
+            try:
+                sol = solve_problem(ex1, n=n)
+                report = error_report(sol, TABLE_GRID)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
+            assert report.max_absolute <= 0.5 / n**2
+            assert not {"gram", "chol", "node_psi_matrix"} & set(vars(sol.basis))
 
 
 def test_solve_does_not_import_scipy_integrate(tmp_path):
