@@ -34,11 +34,9 @@ from .problem_model import (
     AffineRhs,
     ExactSolution,
     ExactnessReport,
-    HomogenizedProblem,
     ProblemSpec,
     builtin,
     builtin_examples,
-    homogenize,
     verify_exact,
 )
 from .reference_oracle import OracleTrajectory, integrate, regularized_rhs
@@ -65,7 +63,6 @@ __all__ = [
     "ExactnessReport",
     "ExpressionDomainError",
     "ExpressionSyntaxError",
-    "HomogenizedProblem",
     "Interval",
     "NumericError",
     "OracleTrajectory",
@@ -84,7 +81,6 @@ __all__ = [
     "eval_kernel",
     "evaluate",
     "gram_matrix",
-    "homogenize",
     "integrate",
     "kernel_section",
     "orthonormalize",

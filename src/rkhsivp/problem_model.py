@@ -5,11 +5,8 @@ the initial values ``u(a) = alpha`` and ``u'(a) = beta``, the right-hand side
 ``F`` and, when known, the exact solution and an explicit affine form
 ``F(x, u) = g(x) + q(x) u``.  The affine form is what routes a problem onto
 the direct linear solve; there is no black-box linearity detection.
-
-Homogenization shifts the unknown by ``s(x) = alpha + beta (x - a)`` so the
-transformed function vanishes together with its first derivative at ``a``,
-which is the form the kernel space requires.  :func:`ode_residual` is the
-one residual of the equation, read by :func:`verify_exact` and the solver.
+:func:`ode_residual` is the one residual of the equation, read by
+:func:`verify_exact` and the solver.
 """
 
 from __future__ import annotations
@@ -27,9 +24,7 @@ __all__ = [
     "AffineRhs",
     "ExactSolution",
     "ProblemSpec",
-    "HomogenizedProblem",
     "ExactnessReport",
-    "homogenize",
     "ode_residual",
     "verify_exact",
     "builtin_examples",
@@ -90,45 +85,6 @@ class ProblemSpec:
     @property
     def is_linear(self) -> bool:
         return self.affine is not None
-
-
-class HomogenizedProblem:
-    """Shifted problem with zero initial data.
-
-    With ``s(x) = alpha + beta (x - a)`` and ``v = u - s`` the equation
-    becomes ``v'' + (k/x) v' = F(x, v + s(x)) - (k/x) beta`` and
-    ``v(a) = v'(a) = 0``.
-    """
-
-    def __init__(self, base: ProblemSpec):
-        self.base = base
-
-    def shift(self, x: float) -> float:
-        b = self.base
-        return b.alpha + b.beta * (x - b.interval.a)
-
-    def rhs(self, x: float, v: float) -> float:
-        b = self.base
-        slope_term = 0.0 if b.beta == 0.0 or b.k == 0.0 else (b.k / x) * b.beta
-        return b.rhs(x, v + self.shift(x)) - slope_term
-
-    @property
-    def affine(self) -> Optional[AffineRhs]:
-        base_affine = self.base.affine
-        if base_affine is None:
-            return None
-        b = self.base
-
-        def g(x: float) -> float:
-            slope_term = 0.0 if b.beta == 0.0 or b.k == 0.0 else (b.k / x) * b.beta
-            return base_affine.g(x) + base_affine.q(x) * self.shift(x) - slope_term
-
-        return AffineRhs(g=g, q=base_affine.q)
-
-
-def homogenize(problem: ProblemSpec) -> HomogenizedProblem:
-    """Shift ``problem`` so the unknown has zero value and slope at ``a``."""
-    return HomogenizedProblem(problem)
 
 
 def ode_residual(problem: ProblemSpec, xs, u, du, d2u) -> np.ndarray:

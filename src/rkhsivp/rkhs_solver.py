@@ -1,18 +1,21 @@
 """Series solver in the collocation basis.
 
-The homogenized unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
+The kernel space holds functions with zero value and slope at ``a``, so the
+solver owns the shift ``s(x) = alpha + beta (x - a)``: ``v = u - s`` solves
+``v'' + (k/x) v' = F(x, v + s) - (k/x) beta`` with ``v(a) = v'(a) = 0``, and
+evaluation adds ``s`` back, so solutions satisfy the initial data at ``a`` to
+floating-point accuracy.
+
+The shifted unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
 with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
 the Gram matrix; no inverse of ``L`` is formed.  For an affine right-hand
-side ``g(x) + q(x) v`` collocation is one solve of ``(G - diag(q) Psi) gamma
-= g``, a block LU built from the basis generators in O(n) time and memory,
-with no n x n matrix and no Cholesky factor.  Otherwise
+side ``g(x) + q(x) u`` collocation is one solve of ``(G - diag(q) Psi) gamma
+= g + q s - (k/x) beta``, a block LU built from the basis generators in O(n)
+time and memory, with no n x n matrix and no Cholesky factor.  Otherwise
 a single forward sweep computes ``A`` in node order by forward substitution
 with ``L``, evaluating the right-hand side at the running partial sums;
 optional further sweeps re-feed the previous full solution until the nodal
 values settle.
-
-Evaluation undoes the homogenization shift, so solutions report the original
-unknown and satisfy the initial data at ``a`` to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .collocation import CollocationBasis, build_basis, solve_lower, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
 from .kernel_space import build_w23_kernel
-from .problem_model import HomogenizedProblem, ProblemSpec, homogenize, ode_residual
+from .problem_model import ProblemSpec, ode_residual
 
 __all__ = [
     "RkhsSolution",
@@ -86,27 +89,44 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
     """
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
-    p = sol.problem
     # x goes to psi_values as given, so that a float takes the scalar fast
     # path of Interval.require.
     out = sol.basis.psi_values(x, deriv) @ sol.gamma
     if deriv == 0:
-        out = out + (p.alpha + p.beta * (np.asarray(x, dtype=float) - p.interval.a))
+        out = out + _shift(sol.problem, x)[0]
     elif deriv == 1:
-        out = out + p.beta
+        out = out + sol.problem.beta
     return float(out) if out.ndim == 0 else out
 
 
-def _rhs_at_node(
-    hom: HomogenizedProblem, index: int, x: float, v: float
-) -> float:
-    """Homogenized right-hand side with node-referenced domain reporting."""
+def _shift(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """``s(x) = alpha + beta (x - a)`` and the slope term ``(k/x) beta`` at ``x``.
+
+    The slope term is 0 when ``k`` or ``beta`` is, so a k = 0 node at x = 0
+    stays finite.  No node sits on the pole otherwise (``build_basis``
+    refuses it); :func:`evaluate` may ask there, and reads only ``s``.
+    """
+    p = problem
+    x = np.asarray(x, dtype=float)
+    s = p.alpha + p.beta * (x - p.interval.a)
+    if p.k == 0.0 or p.beta == 0.0:
+        return s, np.zeros_like(s)
+    with np.errstate(divide="ignore"):
+        return s, (p.k / x) * p.beta
+
+
+def _rhs_at_node(f: Callable[..., float], index: int, x: float, *u: float) -> float:
+    """``f(x, *u)`` at node ``index``, naming the node when it fails.
+
+    ``f`` is the right-hand side ``F(x, u)`` or one of its affine pieces
+    ``g(x)`` and ``q(x)``.
+    """
     try:
-        value = hom.rhs(x, v)
+        value = f(x, *u)
     except (ExpressionDomainError, ValueError) as exc:
+        at = "".join(f", u={v}" for v in u)
         raise DomainError(
-            f"right-hand side domain error at node {index + 1}, "
-            f"x={x}, u={v + hom.shift(x)}: {exc}"
+            f"right-hand side domain error at node {index + 1}, x={x}{at}: {exc}"
         ) from exc
     if math.isnan(value):
         raise NumericError(
@@ -118,16 +138,20 @@ def _rhs_at_node(
 def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     """Direct solve for problems with an explicit affine right-hand side.
 
-    With ``v = sum_i gamma_i psi_i`` the collocation conditions ``(L v)(x_j)
-    = g(x_j) + q(x_j) v(x_j)`` read ``(G - diag(q) Psi) gamma = g``, where
-    ``Psi[j, i] = psi_i(x_j)``: one block LU solve from the basis generators
+    With ``v = u - s = sum_i gamma_i psi_i`` the collocation conditions
+    ``(L v)(x_j) = g(x_j) + q(x_j) (v(x_j) + s(x_j)) - (k/x_j) beta`` read
+    ``(G - diag(q) Psi) gamma = g + q s - (k/x) beta``, where ``Psi[j, i] =
+    psi_i(x_j)``: one block LU solve from the basis generators
     (:meth:`CollocationBasis.solve_collocation`), with no n x n matrix formed.
     """
-    if problem.affine is None:
+    aff = problem.affine
+    if aff is None:
         raise ValueError(f"problem {problem.name!r} has no affine right-hand side form")
-    aff = homogenize(problem).affine
     pts = basis.points.values
-    gamma = basis.solve_collocation([aff.q(x) for x in pts], [aff.g(x) for x in pts])
+    s, slope = _shift(problem, pts)
+    q = np.array([_rhs_at_node(aff.q, j, x) for j, x in enumerate(pts)])
+    g = np.array([_rhs_at_node(aff.g, j, x) for j, x in enumerate(pts)])
+    gamma = basis.solve_collocation(q, g + q * s - slope)
     return RkhsSolution(basis, problem, gamma, method="linear")
 
 
@@ -139,16 +163,17 @@ def solve_nonlinear(
 ) -> RkhsSolution:
     """Sequential forward sweep for general right-hand sides.
 
-    The first sweep solves ``L A = f`` row by row in node order, with ``f_l``
-    the right-hand side at the partial sum built so far (zero at the first
-    node).  Additional sweeps re-evaluate ``f`` at the nodal values ``Psi
-    gamma``, solve ``L L^T gamma = f`` and stop once the largest nodal change
-    is at most ``tol``.
+    The first sweep solves ``L A = f`` row by row in node order, with ``f_l
+    = F(x_l, v_l + s_l) - (k/x_l) beta`` at the partial sum ``v_l`` built
+    so far (zero at the first node).  Additional sweeps re-evaluate ``f`` at
+    the nodal values ``Psi gamma``, solve ``L L^T gamma = f`` and stop once
+    the largest nodal change is at most ``tol``.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
-    hom = homogenize(problem)
+    F = problem.rhs
     pts = basis.points.values
+    s, slope = _shift(problem, pts)
     n = basis.n
     L = basis.chol
     # For i < l, psibar_i(x_l) = M[l] . C Y[i] with Y = L^{-1} U, so the
@@ -159,7 +184,7 @@ def solve_nonlinear(
     A = np.zeros(n)
     z = np.zeros(6)
     for l in range(n):
-        f_l = _rhs_at_node(hom, l, pts[l], float(MC[l] @ z))
+        f_l = _rhs_at_node(F, l, pts[l], float(MC[l] @ z) + s[l]) - slope[l]
         A[l] = (f_l - float(L[l, :l] @ A[:l])) / L[l, l]
         z += A[l] * Y[l]
     if not np.all(np.isfinite(A)):
@@ -171,7 +196,7 @@ def solve_nonlinear(
     if sweeps > 1:
         V = basis.node_psi_matrix @ gamma
     for sweeps_used in range(2, sweeps + 1):
-        f = np.array([_rhs_at_node(hom, l, pts[l], V[l]) for l in range(n)])
+        f = np.array([_rhs_at_node(F, l, pts[l], V[l] + s[l]) for l in range(n)]) - slope
         gamma_next = solve_lower(L, solve_lower(L, f), trans=True)
         if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")

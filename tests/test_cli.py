@@ -351,7 +351,28 @@ class TestSolveErrors:
         path = write_config(tmp_path, rhs="exp(1000) - exp(1000)", exact=None)
         code, _, err = run(capsys, "solve", "--config", path, "--n", "5")
         assert code == 4
-        assert "non-finite" in err
+        assert err == "error: right-hand side returned NaN at node 1, x=0.2\n"
+
+    def test_linear_path_domain_error_names_node(self, capsys, tmp_path):
+        path = write_config(tmp_path, rhs="ln(x - 0.5) + u", exact=None)
+        code, out, err = run(capsys, "solve", "--config", path, "--n", "10")
+        assert code == 5
+        assert out == ""
+        assert err == (
+            "error: right-hand side domain error at node 1, x=0.1: "
+            "logarithm of non-positive value -0.4 in 'ln(x-0.5)'\n"
+        )
+
+    @pytest.mark.parametrize("method", ["linear", "nonlinear"])
+    def test_nan_rhs_names_node_on_both_paths(self, capsys, tmp_path, method):
+        # exp(1000 x) overflows from x = 0.8 on, and 0 * inf is NaN.
+        path = write_config(tmp_path, rhs="u + 0*exp(1000*x)", exact=None)
+        code, out, err = run(
+            capsys, "solve", "--config", path, "--n", "10", "--method", method
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: right-hand side returned NaN at node 8, x=0.8\n"
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -1,4 +1,4 @@
-"""Problem definitions, homogenization, and exact-solution verification."""
+"""Problem definitions and exact-solution verification."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from rkhsivp import (
-    AffineRhs,
     ConfigError,
     ExactSolution,
     Interval,
     ProblemSpec,
     builtin,
     builtin_examples,
-    homogenize,
     verify_exact,
 )
 from rkhsivp.problem_model import ode_residual
@@ -155,70 +153,6 @@ class TestOdeResidual:
         residual = ode_residual(problem, xs, xs**2 + 1, 2 * xs, 2 + 0 * xs)
         assert residual.shape == xs.shape
         assert np.max(residual) <= 1e-14
-
-
-class TestHomogenize:
-    def test_identity_when_data_is_zero(self, ex1):
-        hom = homogenize(ex1)
-        assert hom.shift(0.0) == 0.0 and hom.shift(0.7) == 0.0
-        for x, v in ((0.3, 0.1), (0.9, -2.0)):
-            assert hom.rhs(x, v) == ex1.rhs(x, v)
-
-    def test_constant_shift(self, ex3):
-        hom = homogenize(ex3)
-        assert hom.shift(0.0) == 1.0 and hom.shift(1.0) == 1.0
-        # The operator annihilates constants, so only the argument shifts.
-        assert hom.rhs(0.5, -0.2) == pytest.approx(ex3.rhs(0.5, 0.8), rel=1e-14)
-
-    def test_slope_shift(self):
-        problem = ProblemSpec(
-            name="sloped",
-            k=2.0,
-            interval=Interval(0.0, 1.0),
-            alpha=0.0,
-            beta=2.0,
-            rhs=lambda x, u: math.sin(u),
-        )
-        hom = homogenize(problem)
-        x, v = 0.5, 0.3
-        assert hom.shift(x) == 1.0
-        assert hom.rhs(x, v) == pytest.approx(
-            math.sin(v + 2 * x) - 4.0 / x, rel=1e-14
-        )
-
-    def test_initial_data_restored_exactly(self):
-        problem = ProblemSpec(
-            name="ic",
-            k=1.0,
-            interval=Interval(1.0, 2.0),
-            alpha=-3.0,
-            beta=0.5,
-            rhs=lambda x, u: 0.0,
-        )
-        hom = homogenize(problem)
-        assert hom.shift(1.0) == -3.0
-
-    def test_affine_pieces_carry_over(self, ex1):
-        hom = homogenize(ex1)
-        assert hom.affine is not None
-        for x in (0.2, 0.6, 1.0):
-            assert hom.affine.g(x) == pytest.approx(ex1.affine.g(x), rel=1e-14)
-            assert hom.affine.q(x) == ex1.affine.q(x)
-
-    def test_affine_shift_folds_into_g(self):
-        problem = ProblemSpec(
-            name="affine-shifted",
-            k=2.0,
-            interval=Interval(0.0, 1.0),
-            alpha=1.0,
-            beta=0.0,
-            rhs=lambda x, u: 3.0 * x - 2.0 * u,
-            affine=AffineRhs(g=lambda x: 3.0 * x, q=lambda x: -2.0),
-        )
-        hom = homogenize(problem)
-        # F(x, v + 1) = 3x - 2v - 2, so the homogenized g gains the -2.
-        assert hom.affine.g(0.4) == pytest.approx(3.0 * 0.4 - 2.0, rel=1e-14)
-        assert hom.affine.q(0.4) == -2.0
 
 
 class TestExactSolutionFromFunction:

@@ -28,7 +28,6 @@ from rkhsivp import (
     builtin,
     error_report,
     evaluate,
-    homogenize,
     integrate,
     orthonormalize,
     residual_sup_norm,
@@ -210,6 +209,71 @@ class TestNonlinearSweeps:
             solve_nonlinear(problem, basis)
 
 
+def manufactured_shifted(rhs_calls=None):
+    """u = 0.5 - 0.25 (x - 1) + (x - 1)^3 on [1, 3] with k = 2.
+
+    Its initial data are non-zero, so the solver's shift and its slope term
+    (k/x) beta both enter; ``F = g - u`` is given with its affine form too.
+    ``rhs_calls``, when given, collects the name of each call of ``rhs``,
+    ``g`` or ``q``.
+    """
+    u = lambda x: 0.5 - 0.25 * (x - 1) + (x - 1) ** 3
+    du = lambda x: -0.25 + 3 * (x - 1) ** 2
+    d2u = lambda x: 6 * (x - 1)
+    g = lambda x: d2u(x) + (2 / x) * du(x) + u(x)
+    pieces = {"g": g, "q": lambda x: -1.0, "rhs": lambda x, v: g(x) - v}
+    if rhs_calls is not None:
+        def counted(name, f):
+            def call(*args):
+                rhs_calls.append(name)
+                return f(*args)
+            return call
+        pieces = {name: counted(name, f) for name, f in pieces.items()}
+    return ProblemSpec(
+        name="manufactured-shifted",
+        k=2.0,
+        interval=Interval(1.0, 3.0),
+        alpha=0.5,
+        beta=-0.25,
+        rhs=pieces["rhs"],
+        affine=AffineRhs(g=pieces["g"], q=pieces["q"]),
+        exact=ExactSolution(u=u, du=du, d2u=d2u),
+    )
+
+
+class TestShift:
+    """The solver owns the shift ``v = u - alpha - beta (x - a)``."""
+
+    @pytest.mark.parametrize("n", [25, 50, 100])
+    @pytest.mark.parametrize("method", ["linear", "nonlinear"])
+    def test_manufactured_problem(self, method, n):
+        problem = manufactured_shifted()
+        sol = solve_problem(problem, n=n, method=method, sweeps=50, tol=1e-12)
+        assert sol.final_change is None or sol.final_change <= 1e-12
+        assert abs(sol(1.0) - 0.5) <= 1e-14
+        assert abs(sol(1.0, 1) + 0.25) <= 1e-14
+        xs = uniform_points(problem.interval, 400).values
+        error = np.max(np.abs(evaluate(sol, xs) - problem.exact.u(xs)))
+        # error * n^2 is 4.4 at n = 25 and 5.0 at n = 100, growing toward
+        # about 5.2; a wrong shift or slope term leaves an O(1) error.
+        assert error <= 6.0 / n**2
+
+    def test_linear_path_calls_g_and_q_once_per_node(self):
+        calls = []
+        sol = solve_problem(manufactured_shifted(calls), n=30, method="linear")
+        assert sol.method == "linear"
+        assert sorted(set(calls)) == ["g", "q"]
+        assert calls.count("g") == calls.count("q") == 30
+
+    def test_nonlinear_path_calls_rhs_once_per_node_and_sweep(self):
+        calls = []
+        sol = solve_problem(
+            manufactured_shifted(calls), n=30, method="nonlinear", sweeps=50, tol=1e-12
+        )
+        assert sol.sweeps_used > 1
+        assert calls == ["rhs"] * (30 * sol.sweeps_used)
+
+
 def shifted_affine_problem():
     """Affine problem on [1, 11] with non-constant q and non-zero initial data."""
     return ProblemSpec(
@@ -223,32 +287,49 @@ def shifted_affine_problem():
     )
 
 
+def shift_by_hand(problem, x):
+    """``s(x) = alpha + beta (x - a)`` and the slope term ``(k/x) beta``.
+
+    Formed here from the problem's fields, apart from the solver's own
+    shift, so that the references below check it.
+    """
+    s = problem.alpha + problem.beta * (x - problem.interval.a)
+    slope = 0.0 if problem.k == 0.0 or problem.beta == 0.0 else problem.k / x * problem.beta
+    return s, slope
+
+
 def nodal_values_by_inverse(problem, basis):
     """The explicit-inverse formulation: ``(I - M diag(q)) V = M g``.
 
     ``M = S beta`` with ``S = Psi beta^T`` and ``beta = L^{-1}`` from
-    ``orthonormalize``; returns the original unknown at the nodes.
+    ``orthonormalize``; ``g`` is shifted to ``g + q s - (k/x) beta``.
+    Returns the original unknown at the nodes.
     """
-    hom = homogenize(problem)
     pts = basis.points.values
-    g = np.array([hom.affine.g(x) for x in pts])
-    q = np.array([hom.affine.q(x) for x in pts])
+    s, slope = shift_by_hand(problem, pts)
+    q = np.array([problem.affine.q(x) for x in pts])
+    g = np.array([problem.affine.g(x) for x in pts]) + q * s - slope
     beta = orthonormalize(basis.gram)
     M = basis.node_psi_matrix @ beta.T @ beta
     V = np.linalg.solve(np.eye(pts.size) - M * q[None, :], M @ g)
-    return V + np.array([hom.shift(x) for x in pts])
+    return V + s
 
 
 def first_sweep_by_inverse(problem, basis):
-    """The first sweep as ``A_l = (beta f)_l``, ``f`` at the partial sums."""
-    hom = homogenize(problem)
+    """The first sweep as ``A_l = (beta f)_l``, ``f`` at the partial sums.
+
+    ``f_l = F(x_l, v_l + s_l) - (k/x_l) beta`` for the shifted partial sum
+    ``v_l``.
+    """
     pts = basis.points.values
     beta = orthonormalize(basis.gram)
     S = basis.node_psi_matrix @ beta.T
     A = np.zeros(pts.size)
     f = np.empty(pts.size)
     for l in range(pts.size):
-        f[l] = hom.rhs(pts[l], 0.0 if l == 0 else float(S[l, :l] @ A[:l]))
+        s, slope = shift_by_hand(problem, pts[l])
+        v = 0.0 if l == 0 else float(S[l, :l] @ A[:l])
+        f[l] = problem.rhs(pts[l], v + s) - slope
         A[l] = float(beta[l, : l + 1] @ f[: l + 1])
     return A
 
@@ -355,12 +436,12 @@ class TestBlockSolve:
     )
     def test_matches_dense_pivoted_solve(self, problem, n):
         sol = solve_problem(problem, n=n)
-        aff = homogenize(problem).affine
         x = sol.basis.points.values
-        K = sol.basis.collocation_matrix([aff.q(v) for v in x])
-        dense = RkhsSolution(
-            sol.basis, problem, np.linalg.solve(K, [aff.g(v) for v in x]), "linear"
-        )
+        s, slope = shift_by_hand(problem, x)
+        q = np.array([problem.affine.q(v) for v in x])
+        g = np.array([problem.affine.g(v) for v in x]) + q * s - slope
+        K = sol.basis.collocation_matrix(q)
+        dense = RkhsSolution(sol.basis, problem, np.linalg.solve(K, g), "linear")
         # u, u' and u'' at the nodes and on a grid; gamma itself carries
         # rounding of order cond(K) eps (cond(K) ~ 1e8 at n = 1600) on both sides.
         xs = np.concatenate([x, uniform_points(problem.interval, 200).values])
