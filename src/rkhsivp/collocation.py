@@ -11,7 +11,10 @@ letting ``U[i]`` be the operator applied to the monomials ``m(y - a)`` at
     G[j, i]   = U[j] . C U[i]             (x_i <= x_j; C^T otherwise)
     Psi[j, i] = M[j] . C U[i]             (likewise; M[j] = m(x_j - a))
 
-and ``K = G - diag(q) Psi`` takes the rows ``U - diag(q) M``.  No quadrature
+and ``K = G - diag(q) Psi`` takes the rows ``U - diag(q) M``.  A combination
+``sum_i gamma_i psi_i`` is one quintic on each cell between adjacent nodes,
+with coefficients from prefix and suffix sums of ``gamma_i C U[i]`` and
+``gamma_i C^T U[i]`` (:meth:`CollocationBasis.cell_coefficients`).  No quadrature
 and no finite differences enter; the quadrature inner product exists only as
 an independent oracle in the tests.
 
@@ -179,7 +182,8 @@ class CollocationBasis:
         with np.errstate(invalid="ignore", over="ignore"):
             if self.k != 0.0:
                 self.U += self.k / points.values[:, None] * quintic_derivative_weights(eta, 1)
-            # C U^T and C^T U^T, kept because point evaluation reads them per call.
+            # C U^T and C^T U^T: every kernel matrix, the block solve and the
+            # cell table read them.
             self._left, self._right = kernel.C @ self.U.T, kernel.C.T @ self.U.T
         self.U.setflags(write=False)
         self.M.setflags(write=False)
@@ -206,6 +210,21 @@ class CollocationBasis:
         interval.require(x, "evaluation point")
         x = np.asarray(x, dtype=float)
         return self._kernel_rows(quintic_derivative_weights(x - interval.a, order), x)
+
+    def cell_coefficients(self, gamma: np.ndarray) -> np.ndarray:
+        """Coefficients of ``sum_i gamma_i psi_i`` on each cell, shape ``(n + 1, 6)``.
+
+        Between adjacent nodes the sum is one quintic in ``x - a``.  Row ``j``
+        holds it on the cell after node ``j``: ``x_j <= x < x_{j+1}``, with
+        ``x_0 = a`` and no right end for ``j = n``.  There the first ``j`` nodes
+        use ``C`` and the rest ``C^T``, so row ``j`` is ``sum_{i <= j} gamma_i
+        C U[i] + sum_{i > j} gamma_i C^T U[i]`` (nodes counted from 1).
+        """
+        gamma = np.asarray(gamma, dtype=float)
+        out = np.zeros((6, self.n + 1))
+        np.cumsum(self._left * gamma, axis=1, out=out[:, 1:])
+        out[:, :-1] += np.cumsum((self._right * gamma)[:, ::-1], axis=1)[:, ::-1]
+        return out.T
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -16,11 +16,19 @@ a single forward sweep computes ``A`` in node order by forward substitution
 with ``L``, evaluating the right-hand side at the running partial sums;
 optional further sweeps re-feed the previous full solution until the nodal
 values settle.
+
+Between adjacent nodes ``v_n`` is a single quintic in ``x - a``, so a
+solution is stored as ``n + 1`` pieces: :class:`RkhsSolution` keeps the
+coefficients of ``v_n``, ``v_n'`` and ``v_n''`` on every cell, built in O(n)
+from prefix sums of ``gamma_i U[i]``.  :func:`evaluate` finds the cell by
+bisection and runs one Horner pass, O(log n) per point instead of a sum over
+all ``n`` basis functions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
@@ -49,7 +57,11 @@ class RkhsSolution:
     """Truncated series solution; immutable, callable as ``sol(x, deriv)``.
 
     ``gamma`` are the coefficients of the ``psi_i``; ``coefficients`` those of
-    the orthonormal ``psibar_i``, ``A = L^T gamma``.
+    the orthonormal ``psibar_i``, ``A = L^T gamma``.  ``cells[d]`` holds the
+    ``d``-th derivative of the shifted unknown ``v`` as one polynomial in
+    ``x - a`` per cell (:meth:`CollocationBasis.cell_coefficients`), highest
+    power first: ``cells[d][p, j]`` multiplies ``(x - a)^(5 - d - p)`` on the
+    cell after node ``j``.
     """
 
     def __init__(
@@ -69,6 +81,15 @@ class RkhsSolution:
         self.method = method
         self.sweeps_used = sweeps_used
         self.final_change = final_change
+        table = basis.cell_coefficients(gamma)
+        cells = []
+        for d in range(3):
+            # d-th derivative of t^p is perm(p, d) t^(p - d).
+            rows = table[:, d:] * [math.perm(p, d) for p in range(d, 6)]
+            rows = np.ascontiguousarray(rows[:, ::-1].T)
+            rows.setflags(write=False)
+            cells.append(rows)
+        self.cells = tuple(cells)
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -77,6 +98,11 @@ class RkhsSolution:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _scalar_cells(self) -> tuple[list[float], list[list[list[float]]]]:
+        """The nodes and ``cells`` as Python lists, for the per-point path."""
+        return self.basis.points.values.tolist(), [c.T.tolist() for c in self.cells]
+
     def __call__(self, x: float, deriv: int = 0) -> float:
         return evaluate(self, x, deriv)
 
@@ -84,35 +110,50 @@ class RkhsSolution:
 def evaluate(sol: RkhsSolution, x, deriv: int = 0):
     """Value or first/second derivative of the solution at ``x``.
 
-    A number ``x`` gives a float; an array of points gives an array of the
-    same shape, from one matrix product.
+    The cell of ``x`` is the number of nodes ``x_i <= x``; one Horner pass
+    over its row of ``sol.cells`` gives ``v``, and the shift is added.  A
+    Python number ``x`` gives a float without touching numpy (a bisection
+    and six floats); an array of points gives an array of the same shape
+    through the same operations, so both paths agree bit for bit.
     """
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
-    # x goes to psi_values as given, so that a float takes the scalar fast
-    # path of Interval.require.
-    out = sol.basis.psi_values(x, deriv) @ sol.gamma
+    p = sol.problem
+    interval = p.interval
+    if isinstance(x, (float, int)):
+        x = float(x)
+        interval.require(x, "evaluation point")
+        nodes, cells = sol._scalar_cells
+        coefs = cells[deriv][bisect_right(nodes, x)]
+    else:
+        interval.require(x, "evaluation point")
+        x = np.asarray(x, dtype=float)
+        cell = np.searchsorted(sol.basis.points.values, x, side="right")
+        coefs = [c[cell] for c in sol.cells[deriv]]
+    t = x - interval.a
+    out = 0.0
+    for c in coefs:
+        out = out * t + c
     if deriv == 0:
-        out = out + _shift(sol.problem, x)[0]
+        out = out + (p.alpha + p.beta * t)
     elif deriv == 1:
-        out = out + sol.problem.beta
-    return float(out) if out.ndim == 0 else out
+        out = out + p.beta
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 def _shift(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """``s(x) = alpha + beta (x - a)`` and the slope term ``(k/x) beta`` at ``x``.
 
     The slope term is 0 when ``k`` or ``beta`` is, so a k = 0 node at x = 0
-    stays finite.  No node sits on the pole otherwise (``build_basis``
-    refuses it); :func:`evaluate` may ask there, and reads only ``s``.
+    stays finite; no other node sits on the pole (``build_basis`` refuses
+    it).
     """
     p = problem
     x = np.asarray(x, dtype=float)
     s = p.alpha + p.beta * (x - p.interval.a)
     if p.k == 0.0 or p.beta == 0.0:
         return s, np.zeros_like(s)
-    with np.errstate(divide="ignore"):
-        return s, (p.k / x) * p.beta
+    return s, (p.k / x) * p.beta
 
 
 def _rhs_at_node(f: Callable[..., float], index: int, x: float, *u: float) -> float:

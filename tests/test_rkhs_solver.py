@@ -37,6 +37,7 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
+from rkhsivp.collocation import CollocationBasis
 from rkhsivp.rhs_expr import parse
 from rkhsivp.rhs_expr import evaluate as eval_expr
 
@@ -250,8 +251,9 @@ class TestShift:
         problem = manufactured_shifted()
         sol = solve_problem(problem, n=n, method=method, sweeps=50, tol=1e-12)
         assert sol.final_change is None or sol.final_change <= 1e-12
-        assert abs(sol(1.0) - 0.5) <= 1e-14
-        assert abs(sol(1.0, 1) + 0.25) <= 1e-14
+        # The first cell's constant and linear coefficients are exactly 0.
+        assert sol(1.0) == 0.5
+        assert sol(1.0, 1) == -0.25
         xs = uniform_points(problem.interval, 400).values
         error = np.max(np.abs(evaluate(sol, xs) - problem.exact.u(xs)))
         # error * n^2 is 4.4 at n = 25 and 5.0 at n = 100, growing toward
@@ -553,19 +555,38 @@ class TestSolutionObject:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_array_points_match_scalar_path(self, name, rng):
         sol = solve_problem(builtin(name), n=40)
-        xs = np.concatenate([rng.uniform(0.0, 1.0, 50), sol.basis.points.values])
+        xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 50), sol.basis.points.values])
         for deriv in (0, 1, 2):
             by_array = evaluate(sol, xs, deriv)
             by_point = np.array([evaluate(sol, float(x), deriv) for x in xs])
             assert by_array.shape == xs.shape
-            scale = np.max(np.abs(by_point))
-            assert np.max(np.abs(by_array - by_point)) <= 1e-14 * scale
+            assert np.array_equal(by_array, by_point)
 
     def test_derivative_order_validation(self, ex1):
         sol = solve_problem(ex1, n=10)
         sol(0.5, 2)
-        with pytest.raises(ValueError):
-            sol(0.5, 3)
+        for x in (0.5, np.array([0.5])):
+            with pytest.raises(ValueError, match="^deriv must be 0, 1 or 2, got 3$"):
+                evaluate(sol, x, 3)
+
+    @pytest.mark.parametrize(
+        "x, shown", [(math.nan, "nan"), (-0.1, "-0.1"), (1.5, "1.5"), (2, "2.0")]
+    )
+    def test_point_outside_interval_is_domain_error(self, ex1, x, shown):
+        sol = solve_problem(ex1, n=10)
+        message = f"^evaluation point {shown} outside \\[0.0, 1.0\\]$"
+        for points in (x, np.array([0.5, x])):
+            for deriv in (0, 1, 2):
+                with pytest.raises(DomainError, match=message):
+                    evaluate(sol, points, deriv)
+
+    def test_int_point_is_a_float_point(self, ex1):
+        sol = solve_problem(ex1, n=10)
+        for deriv in (0, 1, 2):
+            for x in (0, 1):
+                value = evaluate(sol, x, deriv)
+                assert type(value) is float
+                assert value == evaluate(sol, float(x), deriv)
 
     def test_coefficients_read_only(self, ex1):
         sol = solve_problem(ex1, n=10)
@@ -595,6 +616,60 @@ class TestSolutionObject:
         )
         by_sum = float(tail @ tail)
         assert by_quad == pytest.approx(by_sum, rel=1e-4, abs=1e-8)
+
+
+class TestPiecewiseEvaluation:
+    """Evaluation from the cell coefficients against the series it replaces."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.0, 10.0),
+        a=st.floats(0.0, 3.0),
+        length=st.floats(0.5, 10.0),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=10.0, a=3.0, length=10.0, n=300, seed=0)
+    @example(k=0.0, a=0.0, length=0.5, n=1, seed=1)
+    def test_matches_series(self, k, a, length, n, seed):
+        interval = Interval(a, a + length)
+        basis = build_basis(build_w23_kernel(interval), k, uniform_points(interval, n))
+        rng = np.random.default_rng(seed)
+        gamma = rng.standard_normal(n)
+        problem = ProblemSpec(
+            name="series", k=k, interval=interval, alpha=0.0, beta=0.0,
+            rhs=lambda x, u: 0.0,
+        )
+        sol = RkhsSolution(basis, problem, gamma, method="linear")
+        xs = np.concatenate(
+            [[a, a + length], basis.points.values, rng.uniform(a, a + length, 50)]
+        )
+        for deriv in (0, 1, 2):
+            psi = basis.psi_values(xs, deriv)
+            # Measured against the sum of the terms' sizes: the worst of 1,500
+            # random draws over these ranges was 6.2e-16.
+            scale = np.max(np.abs(psi) @ np.abs(gamma))
+            error = np.max(np.abs(evaluate(sol, xs, deriv) - psi @ gamma))
+            assert error <= 2e-15 * scale
+
+    def test_evaluate_never_sums_the_series(self, ex2, monkeypatch):
+        sol = solve_problem(ex2, n=40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate called psi_values")
+
+        monkeypatch.setattr(CollocationBasis, "psi_values", refuse)
+        for deriv in (0, 1, 2):
+            evaluate(sol, 0.37, deriv)
+            sol(1, deriv)
+            evaluate(sol, np.linspace(0.0, 1.0, 7), deriv)
+
+    def test_cells_are_read_only(self, ex1):
+        sol = solve_problem(ex1, n=10)
+        assert [c.shape for c in sol.cells] == [(6, 11), (5, 11), (4, 11)]
+        for cells in sol.cells:
+            with pytest.raises(ValueError):
+                cells[0, 0] = 1.0
 
 
 class TestResidual:
