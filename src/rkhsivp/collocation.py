@@ -19,14 +19,13 @@ and no finite differences enter; the quadrature inner product exists only as
 an independent oracle in the tests.
 
 So off its diagonal every such matrix is a 6-wide product of generators: it
-is quasiseparable of rank 6.  The linear solve with ``K`` uses that directly
-(:meth:`CollocationBasis.solve_collocation`, a block LU in O(n) time and
-memory); the dense ``K`` is built only as the tests' reference.  The
-nonlinear path factors the dense Gram matrix, ``G = L L^T``, and never
-inverts ``L``: the orthonormal system is ``psibar = L^{-1} psi`` (the
-classical Gram-Schmidt recurrence, but stable at the node counts the
-benchmark tables need), and each product with ``L^{-1}`` is a blocked
-substitution (:func:`solve_lower`).
+is quasiseparable of rank 6, and each solve factors it from them in O(n)
+time and memory.  The linear path's ``K`` is a block LU
+(:meth:`CollocationBasis.solve_collocation`); the nonlinear path works in the
+orthonormal system ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
+recurrence, but stable) with ``G = L L^T`` factored blockwise
+(:class:`GramFactor`).  The dense ``G``, ``L`` and ``L^{-1}`` are built only
+on request, for checks.
 """
 
 from __future__ import annotations
@@ -46,11 +45,9 @@ __all__ = [
     "gram_matrix",
     "orthonormalize",
     "build_basis",
-    "solve_lower",
 ]
 
-# Width of the diagonal blocks in solve_lower, and the largest block of
-# _block_lu_solve.
+# The largest diagonal block of _block_lu_solve and GramFactor.
 _BLOCK = 64
 # Backward errors of the linear solve: refinement stops at _REFINED, and a
 # system still above _SINGULAR after _REFINE_STEPS steps is refused.
@@ -121,48 +118,20 @@ def _cholesky(gram: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def solve_lower(L: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
-    """``X`` with ``L X = B`` (or ``L^T X = B`` when ``trans``), ``L`` lower.
-
-    Blocked substitution: each diagonal block of ``_BLOCK`` rows is solved
-    with ``np.linalg.solve`` after one matrix product removes the part of
-    ``B`` already accounted for by the solved blocks.  ``B`` may be a vector
-    or a matrix; ``X`` has its shape.
-    """
-    X = np.array(B, dtype=float)
-    n = L.shape[0]
-    starts = range(0, n, _BLOCK)
-    for j0 in reversed(starts) if trans else starts:
-        j1 = min(j0 + _BLOCK, n)
-        if trans:
-            X[j0:j1] -= L[j1:, j0:j1].T @ X[j1:]
-            X[j0:j1] = np.linalg.solve(L[j0:j1, j0:j1].T, X[j0:j1])
-        else:
-            X[j0:j1] -= L[j0:j1, :j0] @ X[:j0]
-            X[j0:j1] = np.linalg.solve(L[j0:j1, j0:j1], X[j0:j1])
-    return X
-
-
 def orthonormalize(gram: np.ndarray) -> np.ndarray:
     """Lower-triangular ``beta`` with ``beta @ gram @ beta.T = I``.
 
     Computed as the inverse Cholesky factor; the diagonal is positive.  The
     solvers never form it; it serves the orthonormality checks.
     """
-    return _inverse_lower(_cholesky(gram))
-
-
-def _inverse_lower(L: np.ndarray) -> np.ndarray:
-    # The pivoted block solves leave rounding-level values above the
-    # diagonal, where L^{-1} is zero.
-    return np.tril(solve_lower(L, np.eye(len(L))))
+    return np.tril(np.linalg.inv(_cholesky(gram)))
 
 
 class CollocationBasis:
     """Kernel, nodes and the generators: operator rows ``U``, node monomials ``M``.
 
-    ``gram``, ``chol``, ``beta`` and ``node_psi_matrix`` are built from them
-    on first read.  Immutable; all returned arrays are read-only.  ``psi_values``
+    ``gram``, ``chol``, ``beta`` and ``gram_factor`` are built from them on
+    first read.  Immutable; all returned arrays are read-only.  ``psi_values``
     supports derivative orders 0..3 in the evaluation variable (order 3 exists
     for the quadrature oracles; the public solution interface stops at 2).
     """
@@ -177,8 +146,8 @@ class CollocationBasis:
         eta = points.values - kernel.interval.a
         self.U = quintic_derivative_weights(eta, 2)
         self.M = quintic_derivative_weights(eta, 0)
-        # The Gram finiteness check is the contract for bad inputs (such as an
-        # infinite k), so overflow warnings here carry no information.
+        # The factors' finiteness checks are the contract for bad inputs (such
+        # as an infinite k), so overflow warnings here carry no information.
         with np.errstate(invalid="ignore", over="ignore"):
             if self.k != 0.0:
                 self.U += self.k / points.values[:, None] * quintic_derivative_weights(eta, 1)
@@ -247,7 +216,7 @@ class CollocationBasis:
     @cached_property
     def beta(self) -> np.ndarray:
         """``L^{-1}``, so that ``psibar = beta psi``; built only on request."""
-        out = _inverse_lower(self.chol)
+        out = np.tril(np.linalg.inv(self.chol))
         out.setflags(write=False)
         return out
 
@@ -256,21 +225,13 @@ class CollocationBasis:
         return self.psi_values(x, order) @ self.beta.T
 
     @cached_property
-    def node_psi_matrix(self) -> np.ndarray:
-        """``Psi[j, i] = psi_i(x_j)``."""
-        out = self._kernel_rows(self.M, self.points.values)
-        out.setflags(write=False)
-        return out
+    def gram_factor(self) -> "GramFactor":
+        """``G = L L^T`` from the generators, in O(n) time and memory."""
+        return GramFactor(self.U, self.kernel.C)
 
-    def collocation_matrix(self, q: np.ndarray) -> np.ndarray:
-        """``K = G - diag(q) Psi``, built from the rows ``U - diag(q) M``.
-
-        The solvers never form it (see :meth:`solve_collocation`); it is the
-        dense reference the tests compare against.
-        """
-        rows = self.U - np.asarray(q, dtype=float)[:, None] * self.M
-        with np.errstate(invalid="ignore", over="ignore"):  # the solve checks finiteness
-            return self._kernel_rows(rows, self.points.values)
+    def node_values(self, gamma: np.ndarray) -> np.ndarray:
+        """``Psi gamma``, the values of ``sum_i gamma_i psi_i`` at the nodes, in O(n)."""
+        return _quasiseparable_product(self.M, self._left, self._right, gamma)
 
     def solve_collocation(self, q: np.ndarray, g: np.ndarray) -> np.ndarray:
         """``gamma`` with ``(G - diag(q) Psi) gamma = g``, without forming the matrix.
@@ -322,19 +283,16 @@ def _block_lu_solve(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
     """``x`` with ``K x = g``, ``K`` as in :func:`_quasiseparable_product`.
 
-    A block LU whose off-diagonal blocks are kept as one 6x6 state ``S``.
-    The nodes are cut into near-equal blocks of at most ``_BLOCK`` (a short
-    trailing block cost digits).  Block ``J`` forms only its diagonal block
-    ``D_J = K_JJ - P_J S R_J^T``, with ``R_J^T = Rt[:, J]`` and ``Q_J^T =
-    Qt[:, J]``, and solves it, pivoting within the block, for ``y_J = g_J -
-    P_J z`` and ``E_J = P_J (I - S)`` at once.  With ``X_J^T = Q_J^T - S
+    A block LU over :func:`_blocks` whose off-diagonal blocks are kept as
+    one 6x6 state ``S``.  Block ``J`` forms only its diagonal block ``D_J =
+    K_JJ - P_J S R_J^T``, with ``R_J^T = Rt[:, J]`` and ``Q_J^T = Qt[:, J]``,
+    and solves it, pivoting within the block, for ``y_J = g_J - P_J z`` and
+    ``E_J = P_J (I - S)`` at once.  With ``X_J^T = Q_J^T - S
     R_J^T`` the forward pass moves on by ``S += X_J^T D_J^{-1} E_J`` and ``z
     += X_J^T D_J^{-1} y_J``; the backward pass is ``x_J = D_J^{-1} (y_J - E_J
     w)``, ``w += R_J^T x_J``.
     """
-    n = len(g)
-    edges = np.linspace(0, n, -(-n // _BLOCK) + 1).round().astype(int)
-    blocks = [slice(j0, j1) for j0, j1 in zip(edges[:-1], edges[1:])]
+    n, blocks = len(g), _blocks(len(g))
     lower = np.tri(_BLOCK, dtype=bool)
     S, z = np.zeros((6, 6)), np.zeros(6)
     Y, F = np.empty(n), np.empty((n, 6))  # D_J^{-1} y_J and D_J^{-1} E_J
@@ -358,6 +316,51 @@ def _block_lu_solve(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
         _require_finite(x[J], J)
         w += Rt[:, J] @ x[J]
     return x
+
+
+class GramFactor:
+    """``G = L L^T`` from the generators, kept as blocks ``L_J`` and ``W``.
+
+    With ``W = C (L^{-1} U)^T`` (6 x n), ``L[r, i] = U[r] . W[:, i]`` for all
+    ``i < r``.  Block ``J`` of :func:`_blocks` factors ``G_JJ - U_J S U_J^T``,
+    the lower triangle of ``U_J (C - S) U_J^T``, as ``L_J L_J^T``; then ``W_J
+    = (C - S) U_J^T L_J^{-T}`` and ``S += W_J W_J^T``.  Substitutions carry
+    one 6-vector between blocks, O(n * _BLOCK) each.
+    """
+
+    def __init__(self, U: np.ndarray, C: np.ndarray):
+        self.U, self.blocks, self.diag = U, _blocks(len(U)), []
+        self.W, S = np.empty((6, len(U))), np.zeros((6, 6))
+        for J in self.blocks:
+            CS = C - S
+            with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+                D = U[J] @ CS @ U[J].T  # np.linalg.cholesky reads the lower triangle
+            _require_finite(D, J)
+            self.diag.append(_cholesky(D))
+            self.W[:, J] = np.linalg.solve(self.diag[-1], U[J] @ CS.T).T
+            S += self.W[:, J] @ self.W[:, J].T
+
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """``y`` with ``L y = f``."""
+        y, t = np.empty(len(f)), np.zeros(6)
+        for J, LJ in zip(self.blocks, self.diag):
+            y[J] = np.linalg.solve(LJ, f[J] - self.U[J] @ t)
+            t += self.W[:, J] @ y[J]
+        return y
+
+    def backward(self, y: np.ndarray) -> np.ndarray:
+        """``x`` with ``L^T x = y``."""
+        x, w = np.empty(len(y)), np.zeros(6)
+        for J, LJ in zip(reversed(self.blocks), reversed(self.diag)):
+            x[J] = np.linalg.solve(LJ.T, y[J] - w @ self.W[:, J])
+            w += x[J] @ self.U[J]
+        return x
+
+
+def _blocks(n: int) -> list[slice]:
+    """Near-equal blocks of at most ``_BLOCK`` nodes (a short trailing block cost digits)."""
+    edges = np.linspace(0, n, -(-n // _BLOCK) + 1).round().astype(int)
+    return [slice(j0, j1) for j0, j1 in zip(edges[:-1], edges[1:])]
 
 
 def _nodes(J: slice) -> str:

@@ -8,14 +8,15 @@ floating-point accuracy.
 
 The shifted unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
 with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
-the Gram matrix; no inverse of ``L`` is formed.  For an affine right-hand
-side ``g(x) + q(x) u`` collocation is one solve of ``(G - diag(q) Psi) gamma
-= g + q s - (k/x) beta``, a block LU built from the basis generators in O(n)
-time and memory, with no n x n matrix and no Cholesky factor.  Otherwise
-a single forward sweep computes ``A`` in node order by forward substitution
-with ``L``, evaluating the right-hand side at the running partial sums;
-optional further sweeps re-feed the previous full solution until the nodal
-values settle.
+the Gram matrix.  For an affine right-hand side ``g(x) + q(x) u``
+collocation is one solve of ``(G - diag(q) Psi) gamma = g + q s - (k/x)
+beta``, a block LU built from the basis generators.  Otherwise a single
+forward sweep computes ``A`` in node order by forward substitution with
+``L``, evaluating the right-hand side at the running partial sums; optional
+further sweeps re-feed the previous full solution until the nodal values
+settle.  ``L`` is factored blockwise from the same generators
+(:class:`~rkhsivp.collocation.GramFactor`), so neither path forms an n x n
+array or inverts ``L``: both cost O(n) time and memory.
 
 Between adjacent nodes ``v_n`` is a single quintic in ``x - a``, so a
 solution is stored as ``n + 1`` pieces: :class:`RkhsSolution` keeps the
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .collocation import CollocationBasis, build_basis, solve_lower, uniform_points
+from .collocation import CollocationBasis, build_basis, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
 from .kernel_space import build_w23_kernel
 from .problem_model import ProblemSpec, ode_residual
@@ -215,45 +216,40 @@ def solve_nonlinear(
     F = problem.rhs
     pts = basis.points.values
     s, slope = _shift(problem, pts)
-    n = basis.n
-    L = basis.chol
-    # For i < l, psibar_i(x_l) = M[l] . C Y[i] with Y = L^{-1} U, so the
-    # partial sum at x_l is M[l] . C z for the running z = sum_{i<l} A_i Y[i].
-    Y = solve_lower(L, basis.U)
-    MC = basis.M @ basis.kernel.C
-
-    A = np.zeros(n)
-    z = np.zeros(6)
-    for l in range(n):
-        f_l = _rhs_at_node(F, l, pts[l], float(MC[l] @ z) + s[l]) - slope[l]
-        A[l] = (f_l - float(L[l, :l] @ A[:l])) / L[l, l]
-        z += A[l] * Y[l]
+    factor = basis.gram_factor
+    # For i < l, psibar_i(x_l) = M[l] . W[:, i] and L[l, i] = U[l] . W[:, i], so
+    # t = sum_i A_i W[:, i] over the blocks done carries both the partial sums
+    # and the substitution terms into a block; acc gathers them within it.
+    A, t = np.empty(basis.n), np.zeros(6)
+    for J, LJ in zip(factor.blocks, factor.diag):
+        W, b = factor.W[:, J], len(LJ)
+        acc = np.concatenate([basis.M[J] @ t + s[J], basis.U[J] @ t])
+        shares = np.hstack([np.tril(basis.M[J] @ W, -1).T, np.tril(LJ, -1).T])
+        d = np.diag(LJ)
+        for i, l in enumerate(range(J.start, J.stop)):
+            f_l = _rhs_at_node(F, l, pts[l], acc[i]) - slope[l]
+            A[l] = a = (f_l - acc[b + i]) / d[i]
+            acc += a * shares[i]  # node l's part of the later nodes' sums and terms
+        t += W @ A[J]
     if not np.all(np.isfinite(A)):
         raise NumericError("forward sweep produced non-finite coefficients")
 
-    gamma = solve_lower(L, A, trans=True)
-    sweeps_used = 1
-    final_change = None
+    gamma = factor.backward(A)
+    sweeps_used, final_change = 1, None
     if sweeps > 1:
-        V = basis.node_psi_matrix @ gamma
+        V = basis.node_values(gamma)
     for sweeps_used in range(2, sweeps + 1):
-        f = np.array([_rhs_at_node(F, l, pts[l], V[l] + s[l]) for l in range(n)]) - slope
-        gamma_next = solve_lower(L, solve_lower(L, f), trans=True)
+        f = np.array([_rhs_at_node(F, l, x, V[l] + s[l]) for l, x in enumerate(pts)]) - slope
+        gamma_next = factor.backward(factor.forward(f))
         if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")
-        V_next = basis.node_psi_matrix @ gamma_next
+        V_next = basis.node_values(gamma_next)
         final_change = float(np.max(np.abs(V_next - V)))
         gamma, V = gamma_next, V_next
         if final_change <= tol:
             break
-    return RkhsSolution(
-        basis,
-        problem,
-        gamma,
-        method="nonlinear",
-        sweeps_used=sweeps_used,
-        final_change=final_change,
-    )
+    return RkhsSolution(basis, problem, gamma, method="nonlinear",
+                        sweeps_used=sweeps_used, final_change=final_change)
 
 
 def solve_problem(

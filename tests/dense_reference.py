@@ -1,0 +1,22 @@
+"""Dense references for the solves that work from the basis generators.
+
+The package never forms these n x n matrices; the tests build them here to
+check the O(n) solves against plain dense linear algebra.
+"""
+
+import numpy as np
+
+
+def node_psi_matrix(basis):
+    """``Psi[j, i] = psi_i(x_j)``."""
+    return basis.psi_values(basis.points.values)
+
+
+def collocation_matrix(basis, q):
+    """``K = G - diag(q) Psi``, built from the rows ``U - diag(q) M``.
+
+    These are the rows that ``solve_collocation`` factors.
+    """
+    rows = basis.U - np.asarray(q, dtype=float)[:, None] * basis.M
+    with np.errstate(invalid="ignore", over="ignore"):
+        return basis._kernel_rows(rows, basis.points.values)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 
 from rkhsivp import (
     DomainError,
@@ -26,7 +25,8 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
-from rkhsivp.collocation import PointSet, solve_lower
+from dense_reference import collocation_matrix, node_psi_matrix
+from rkhsivp.collocation import PointSet
 
 
 def beta_by_recurrence(gram):
@@ -255,43 +255,29 @@ class TestOrthonormalize:
             slow = beta_by_recurrence(gram)
             assert np.max(np.abs(fast - slow)) <= 1e-8
 
-
-class TestSolveLower:
-    """Blocked substitution against scipy's triangular solver as the oracle."""
-
-    @pytest.mark.parametrize("trans", [False, True])
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 1600])
-    def test_matches_solve_triangular(self, n, trans, rng):
-        # A well-conditioned factor: Cholesky of X X^T / n + I.
-        X = rng.standard_normal((n, n))
-        L = np.linalg.cholesky(X @ X.T / n + np.eye(n))
-        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            before = B.copy()
-            got = solve_lower(L, B, trans=trans)
-            want = solve_triangular(L, B, lower=True, trans="T" if trans else "N")
-            assert got.shape == B.shape
-            assert np.array_equal(B, before)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_gram_factor(self, trans, kernel01, unit_interval):
-        # The factor the solvers use: cond(L) ~ 1e3 here, and its
-        # off-diagonal entries exceed the diagonal, so the block solves pivot.
-        basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 200))
-        L = basis.chol
-        for B in (basis.node_psi_matrix[7], basis.node_psi_matrix.T):
-            got = solve_lower(L, B, trans=trans)
-            want = solve_triangular(L, B, lower=True, trans="T" if trans else "N")
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
     def test_inverse_is_exactly_lower_triangular(self, kernel01, unit_interval):
         gram = gram_matrix(kernel01, 2.0, uniform_points(unit_interval, 150))
         beta = orthonormalize(gram)
         assert np.array_equal(beta, np.tril(beta))
 
 
+class TestGramFactor:
+    """The blockwise factor from the generators against ``np.linalg.cholesky``."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 400])
+    def test_matches_dense_cholesky(self, kernel01, unit_interval, n):
+        basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, n))
+        factor = basis.gram_factor
+        # L[r, i] = U[r] . W[:, i] below the diagonal, the blocks L_J on it.
+        L = np.tril(basis.U @ factor.W, -1)
+        for J, LJ in zip(factor.blocks, factor.diag):
+            L[J, J] = LJ
+        want = basis.chol
+        assert np.max(np.abs(L - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestCollocationMatrix:
-    """``collocation_matrix`` against ``G - diag(q) Psi`` assembled densely."""
+    """The rows ``U - diag(q) M`` against ``G - diag(q) Psi`` assembled densely."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -312,7 +298,7 @@ class TestCollocationMatrix:
         G = G + np.tril(G, -1).T
         Psi = np.tril(M @ C @ U.T) + np.triu(M @ C.T @ U.T, 1)
         want = G - q[:, None] * Psi
-        got = basis.collocation_matrix(q)
+        got = collocation_matrix(basis, q)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -335,7 +321,7 @@ class TestCollocationBasis:
     def test_node_matrices(self, kernel01, unit_interval):
         pts = uniform_points(unit_interval, 6)
         basis = build_basis(kernel01, 2.0, pts)
-        psi_mat = basis.node_psi_matrix
+        psi_mat = node_psi_matrix(basis)
         for j, xj in enumerate(pts.values):
             assert np.allclose(psi_mat[j], basis.psi_values(float(xj)), atol=1e-13)
 

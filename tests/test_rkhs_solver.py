@@ -37,6 +37,7 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
+from dense_reference import collocation_matrix, node_psi_matrix
 from rkhsivp.collocation import CollocationBasis
 from rkhsivp.rhs_expr import parse
 from rkhsivp.rhs_expr import evaluate as eval_expr
@@ -67,15 +68,6 @@ class TestLinearPath:
         report = error_report(sol, TABLE_GRID)
         assert report.max_absolute <= 1e-5
         assert sol.method == "linear"
-
-    @pytest.mark.parametrize("k", [math.inf, 1e300])
-    def test_overflowing_k_is_numeric_error_without_warnings(self, ex1, k):
-        # The linear path never forms G, so its own finiteness check reports
-        # it, naming the block's nodes.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError, match=r"non-finite values at nodes 1\.\.5$"):
-                solve_problem(dataclasses.replace(ex1, k=k), n=5)
 
     def test_pinned_grid_value(self, ex1):
         sol = solve_problem(ex1, n=100)
@@ -312,7 +304,7 @@ def nodal_values_by_inverse(problem, basis):
     q = np.array([problem.affine.q(x) for x in pts])
     g = np.array([problem.affine.g(x) for x in pts]) + q * s - slope
     beta = orthonormalize(basis.gram)
-    M = basis.node_psi_matrix @ beta.T @ beta
+    M = node_psi_matrix(basis) @ beta.T @ beta
     V = np.linalg.solve(np.eye(pts.size) - M * q[None, :], M @ g)
     return V + s
 
@@ -325,7 +317,7 @@ def first_sweep_by_inverse(problem, basis):
     """
     pts = basis.points.values
     beta = orthonormalize(basis.gram)
-    S = basis.node_psi_matrix @ beta.T
+    S = node_psi_matrix(basis) @ beta.T
     A = np.zeros(pts.size)
     f = np.empty(pts.size)
     for l in range(pts.size):
@@ -337,7 +329,18 @@ def first_sweep_by_inverse(problem, basis):
 
 
 class TestFactoredSolve:
-    """The solvers use the Cholesky factor only; the inverse is an oracle."""
+    """The solvers use the generator factors only; the inverse is an oracle."""
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    @pytest.mark.parametrize("k", [math.inf, 1e300])
+    def test_overflowing_k_is_numeric_error_without_warnings(self, name, k):
+        # Neither path forms G, so the factors' own finiteness checks report
+        # it, naming the block's nodes.
+        problem = dataclasses.replace(builtin(name), k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"non-finite values at nodes 1\.\.5$"):
+                solve_problem(problem, n=5)
 
     @pytest.mark.parametrize("n", [50, 400])
     @pytest.mark.parametrize(
@@ -349,7 +352,8 @@ class TestFactoredSolve:
         got = evaluate(sol, sol.basis.points.values)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n", [50, 400])
+    # 63, 64, 65 and 129 nodes fall on either side of the block edges.
+    @pytest.mark.parametrize("n", [50, 63, 64, 65, 129, 400])
     @pytest.mark.parametrize("name", ["ex2", "ex3"])
     def test_first_sweep_matches_inverse_formulation(self, name, n):
         problem = builtin(name)
@@ -358,6 +362,23 @@ class TestFactoredSolve:
         # Both sides carry rounding of order cond(L) eps; cond(L), the square
         # root of cond(G), is about 3e3 at n = 400.
         assert np.max(np.abs(sol.coefficients - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [50, 65, 400])
+    @pytest.mark.parametrize("name", ["ex2", "ex3"])
+    def test_later_sweep_matches_dense_solve(self, name, n):
+        # Sweep 2 solves G gamma = f at the nodal values of sweep 1.
+        problem = builtin(name)
+        first = solve_problem(problem, n=n)
+        second = solve_problem(problem, n=n, sweeps=2, tol=0.0)
+        assert second.sweeps_used == 2
+        basis = first.basis
+        x = basis.points.values
+        psi = node_psi_matrix(basis)
+        s, slope = shift_by_hand(problem, x)
+        f = np.array([problem.rhs(xl, vl) for xl, vl in zip(x, psi @ first.gamma + s)]) - slope
+        want = psi @ np.linalg.solve(basis.gram, f)
+        got = psi @ second.gamma
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -379,19 +400,26 @@ class TestFactoredSolve:
         want = first_sweep_by_inverse(problem, sol.basis)
         assert np.max(np.abs(sol.coefficients - want)) <= 1e-9 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("name", ["ex1", "ex2"])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_solve_never_forms_the_inverse(self, name):
+        # Both paths factor from the generators only; no n x n array is cached.
         sol = solve_problem(builtin(name), n=30)
-        cached = vars(sol.basis)
-        if name == "ex1":
-            # The linear path builds its matrix from the generators only.
-            assert sol.method == "linear"
-            for attr in ("gram", "chol", "node_psi_matrix"):
-                assert attr not in cached
-        else:
-            assert sol.method == "nonlinear"
-            assert "chol" in cached
-        assert "beta" not in cached
+        assert sol.method == ("linear" if name == "ex1" else "nonlinear")
+        assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
+
+    def test_nonlinear_large_n_in_linear_memory(self, ex2):
+        # A dense G alone would take 328 MB at n = 6,400.
+        n = 6_400
+        tracemalloc.start()
+        try:
+            sol = solve_problem(ex2, n=n)
+            report = error_report(sol, TABLE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert report.max_absolute <= 0.5 / n**2
+        assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
 
 
 class TestBlockSolve:
@@ -420,7 +448,7 @@ class TestBlockSolve:
         x = basis.points.values
         q = s * np.cos(omega * x + phi)
         g = np.cos(x) + x
-        K = basis.collocation_matrix(q)
+        K = collocation_matrix(basis, q)
         try:
             gamma = basis.solve_collocation(q, g)
         except NumericError as exc:
@@ -442,7 +470,7 @@ class TestBlockSolve:
         s, slope = shift_by_hand(problem, x)
         q = np.array([problem.affine.q(v) for v in x])
         g = np.array([problem.affine.g(v) for v in x]) + q * s - slope
-        K = sol.basis.collocation_matrix(q)
+        K = collocation_matrix(sol.basis, q)
         dense = RkhsSolution(sol.basis, problem, np.linalg.solve(K, g), "linear")
         # u, u' and u'' at the nodes and on a grid; gamma itself carries
         # rounding of order cond(K) eps (cond(K) ~ 1e8 at n = 1600) on both sides.
@@ -485,7 +513,7 @@ class TestBlockSolve:
                 tracemalloc.stop()
             assert peak < 64 * 2**20
             assert report.max_absolute <= 0.5 / n**2
-            assert not {"gram", "chol", "node_psi_matrix"} & set(vars(sol.basis))
+            assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
 
 
 def test_solve_does_not_import_scipy_integrate(tmp_path):
