@@ -24,8 +24,10 @@ time and memory.  The linear path's ``K`` is a block LU
 (:meth:`CollocationBasis.solve_collocation`); the nonlinear path works in the
 orthonormal system ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
 recurrence, but stable) with ``G = L L^T`` factored blockwise
-(:class:`GramFactor`).  The dense ``G``, ``L`` and ``L^{-1}`` are built only
-on request, for checks.
+(:class:`GramFactor`).  That one factor also gives the values of ``psibar``
+(:meth:`CollocationBasis.psibar_values`) by forward substitution.  Only the
+check API, :func:`gram_matrix` and :func:`orthonormalize`, returns dense
+n x n arrays.
 """
 
 from __future__ import annotations
@@ -130,8 +132,9 @@ def orthonormalize(gram: np.ndarray) -> np.ndarray:
 class CollocationBasis:
     """Kernel, nodes and the generators: operator rows ``U``, node monomials ``M``.
 
-    ``gram``, ``chol``, ``beta`` and ``gram_factor`` are built from them on
-    first read.  Immutable; all returned arrays are read-only.  ``psi_values``
+    ``gram_factor`` (``G = L L^T`` in O(n)) and, for checks, the dense
+    ``gram`` are built from them on first read.  Immutable; the generators
+    and ``gram`` are read-only.  ``psi_values``
     supports derivative orders 0..3 in the evaluation variable (order 3 exists
     for the quadrature oracles; the public solution interface stops at 2).
     """
@@ -206,23 +209,14 @@ class CollocationBasis:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def chol(self) -> np.ndarray:
-        """Cholesky factor ``L`` of the Gram matrix, ``G = L L^T``."""
-        out = _cholesky(self.gram)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def beta(self) -> np.ndarray:
-        """``L^{-1}``, so that ``psibar = beta psi``; built only on request."""
-        out = np.tril(np.linalg.inv(self.chol))
-        out.setflags(write=False)
-        return out
-
     def psibar_values(self, x, order: int = 0) -> np.ndarray:
-        """Values of the orthonormalized functions at ``x``."""
-        return self.psi_values(x, order) @ self.beta.T
+        """Values of the orthonormalized functions at ``x``: ``L^{-1} psi(x)``.
+
+        One forward substitution with :attr:`gram_factor`, the points as its
+        right-hand sides; the shape is that of :meth:`psi_values`.
+        """
+        psi = self.psi_values(x, order)
+        return self.gram_factor.forward(psi.reshape(-1, self.n).T).T.reshape(psi.shape)
 
     @cached_property
     def gram_factor(self) -> "GramFactor":
@@ -341,8 +335,8 @@ class GramFactor:
             S += self.W[:, J] @ self.W[:, J].T
 
     def forward(self, f: np.ndarray) -> np.ndarray:
-        """``y`` with ``L y = f``."""
-        y, t = np.empty(len(f)), np.zeros(6)
+        """``y`` with ``L y = f``; ``f`` may hold one right-hand side per column."""
+        y, t = np.empty(f.shape), np.zeros((6,) + f.shape[1:])
         for J, LJ in zip(self.blocks, self.diag):
             y[J] = np.linalg.solve(LJ, f[J] - self.U[J] @ t)
             t += self.W[:, J] @ y[J]

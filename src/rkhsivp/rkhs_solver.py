@@ -16,7 +16,9 @@ forward sweep computes ``A`` in node order by forward substitution with
 further sweeps re-feed the previous full solution until the nodal values
 settle.  ``L`` is factored blockwise from the same generators
 (:class:`~rkhsivp.collocation.GramFactor`), so neither path forms an n x n
-array or inverts ``L``: both cost O(n) time and memory.
+array or inverts ``L``: both cost O(n) time and memory.  The same factor
+gives ``A`` for any solution as ``L^{-1} (G gamma)``, with ``G gamma`` a
+generator product.
 
 Between adjacent nodes ``v_n`` is a single quintic in ``x - a``, so a
 solution is stored as ``n + 1`` pieces: :class:`RkhsSolution` keeps the
@@ -32,11 +34,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .collocation import CollocationBasis, build_basis, uniform_points
+from .collocation import CollocationBasis, _quasiseparable_product, build_basis, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
 from .kernel_space import build_w23_kernel
 from .problem_model import ProblemSpec, ode_residual
@@ -94,8 +96,10 @@ class RkhsSolution:
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        """``A = L^T gamma``; factors the Gram matrix on first read."""
-        out = self.basis.chol.T @ self.gamma
+        """``A = L^T gamma = L^{-1} (G gamma)``, in O(n) from the basis's ``GramFactor``."""
+        basis = self.basis
+        G_gamma = _quasiseparable_product(basis.U, basis._left, basis._right, self.gamma)
+        out = basis.gram_factor.forward(G_gamma)
         out.setflags(write=False)
         return out
 
@@ -170,9 +174,10 @@ def _rhs_at_node(f: Callable[..., float], index: int, x: float, *u: float) -> fl
         raise DomainError(
             f"right-hand side domain error at node {index + 1}, x={x}{at}: {exc}"
         ) from exc
-    if math.isnan(value):
+    if not math.isfinite(value):
+        shown = "NaN" if math.isnan(value) else value
         raise NumericError(
-            f"right-hand side returned NaN at node {index + 1}, x={x}"
+            f"right-hand side returned {shown} at node {index + 1}, x={x}"
         )
     return value
 
@@ -191,8 +196,9 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
         raise ValueError(f"problem {problem.name!r} has no affine right-hand side form")
     pts = basis.points.values
     s, slope = _shift(problem, pts)
-    q = np.array([_rhs_at_node(aff.q, j, x) for j, x in enumerate(pts)])
+    # g first: where F is infinite, a q split off as F(x, 1) - F(x, 0) is NaN.
     g = np.array([_rhs_at_node(aff.g, j, x) for j, x in enumerate(pts)])
+    q = np.array([_rhs_at_node(aff.q, j, x) for j, x in enumerate(pts)])
     gamma = basis.solve_collocation(q, g + q * s - slope)
     return RkhsSolution(basis, problem, gamma, method="linear")
 
@@ -273,33 +279,20 @@ def solve_problem(
     return solve_nonlinear(problem, basis, sweeps=sweeps, tol=tol)
 
 
-def residual_sup_norm(
-    sol: Union[RkhsSolution, Callable[[float, int], float]],
-    problem: Optional[ProblemSpec] = None,
-) -> float:
+def residual_sup_norm(sol: RkhsSolution) -> float:
     """Max of :func:`ode_residual` over interior sample points.
 
     The samples are the grid ``a + j (T - a) / 200``, ``j = 1..200``, which
-    never touches the singular endpoint, and for an ``RkhsSolution`` also the
-    midpoints between its nodes (and between ``a`` and the first node), where
-    the residual is not zero by construction; a sample at the pole ``x = 0``
-    is left out.  An ``RkhsSolution`` is
-    evaluated in one vectorized pass; ``sol`` may also be any ``(x, deriv)``
-    callable, which lets the exact solution (or an oracle) be measured with
-    the same ruler, point by point.
+    never touches the singular endpoint, and the midpoints between the nodes
+    of ``sol`` (and between ``a`` and the first node), where the residual is
+    not zero by construction; a sample at the pole ``x = 0`` is left out.
+    The solution is evaluated in one vectorized pass.
     """
-    if problem is None:
-        if not isinstance(sol, RkhsSolution):
-            raise ValueError("problem is required when sol is a bare callable")
-        problem = sol.problem
+    problem, nodes = sol.problem, sol.basis.points.values
     a = problem.interval.a
     xs = uniform_points(problem.interval, 200).values
-    if isinstance(sol, RkhsSolution):
-        nodes = sol.basis.points.values
-        xs = np.concatenate([xs, 0.5 * (np.concatenate([[a], nodes[:-1]]) + nodes)])
-        u0, u1, u2 = (evaluate(sol, xs, d) for d in range(3))
-    else:
-        u0, u1, u2 = (np.array([sol(float(x), d) for x in xs]) for d in range(3))
+    xs = np.concatenate([xs, 0.5 * (np.concatenate([[a], nodes[:-1]]) + nodes)])
+    u0, u1, u2 = (evaluate(sol, xs, d) for d in range(3))
     return float(np.max(ode_residual(problem, xs, u0, u1, u2)))
 
 

@@ -1,7 +1,8 @@
 """Dense references for the solves that work from the basis generators.
 
-The package never forms these n x n matrices; the tests build them here to
-check the O(n) solves against plain dense linear algebra.
+The package never forms these n x n matrices on a solve; the tests build
+them here to check the O(n) solves and the blocked factor against plain
+dense linear algebra.
 """
 
 import numpy as np
@@ -20,3 +21,8 @@ def collocation_matrix(basis, q):
     rows = basis.U - np.asarray(q, dtype=float)[:, None] * basis.M
     with np.errstate(invalid="ignore", over="ignore"):
         return basis._kernel_rows(rows, basis.points.values)
+
+
+def cholesky_factor(basis):
+    """``L`` with ``G = L L^T``, by ``np.linalg.cholesky`` of the dense Gram matrix."""
+    return np.linalg.cholesky(basis.gram)

@@ -365,14 +365,17 @@ class TestSolveErrors:
 
     @pytest.mark.parametrize("method", ["linear", "nonlinear"])
     def test_nan_rhs_names_node_on_both_paths(self, capsys, tmp_path, method):
-        # exp(1000 x) overflows from x = 0.8 on, and 0 * inf is NaN.
-        path = write_config(tmp_path, rhs="u + 0*exp(1000*x)", exact=None)
-        code, out, err = run(
-            capsys, "solve", "--config", path, "--n", "10", "--method", method
-        )
-        assert code == 4
-        assert out == ""
-        assert err == "error: right-hand side returned NaN at node 8, x=0.8\n"
+        # exp(1000 x) overflows to inf from x = 0.8 on, and 0 * inf is NaN.
+        # An inf must be named at its own node, not multiplied into a NaN
+        # that blames a later one.
+        for rhs, shown in [("u + 0*exp(1000*x)", "NaN"), ("exp(1000*x) - u", "inf")]:
+            path = write_config(tmp_path, rhs=rhs, exact=None)
+            code, out, err = run(
+                capsys, "solve", "--config", path, "--n", "10", "--method", method
+            )
+            assert code == 4
+            assert out == ""
+            assert err == f"error: right-hand side returned {shown} at node 8, x=0.8\n"
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

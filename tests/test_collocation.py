@@ -25,7 +25,7 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
-from dense_reference import collocation_matrix, node_psi_matrix
+from dense_reference import cholesky_factor, collocation_matrix, node_psi_matrix
 from rkhsivp.collocation import PointSet
 
 
@@ -239,13 +239,14 @@ class TestOrthonormalize:
             orthonormalize(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_lower_triangular_positive_diagonal(self, basis100):
-        beta = basis100.beta
+        beta = orthonormalize(basis100.gram)
         assert np.allclose(beta, np.tril(beta))
         assert np.all(np.diag(beta) > 0.0)
 
     def test_whitens_gram(self, basis100):
-        n = basis100.n
-        err = np.max(np.abs(basis100.beta @ basis100.gram @ basis100.beta.T - np.eye(n)))
+        n, gram = basis100.n, basis100.gram
+        beta = orthonormalize(gram)
+        err = np.max(np.abs(beta @ gram @ beta.T - np.eye(n)))
         assert err <= 1e-8
 
     def test_matches_recurrence_for_small_n(self, kernel01, unit_interval):
@@ -272,7 +273,7 @@ class TestGramFactor:
         L = np.tril(basis.U @ factor.W, -1)
         for J, LJ in zip(factor.blocks, factor.diag):
             L[J, J] = LJ
-        want = basis.chol
+        want = cholesky_factor(basis)
         assert np.max(np.abs(L - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -306,17 +307,25 @@ class TestCollocationBasis:
     def test_shapes_and_immutability(self, basis100):
         n = basis100.n
         assert basis100.gram.shape == (n, n)
-        assert basis100.beta.shape == (n, n)
         with pytest.raises(ValueError):
             basis100.gram[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            basis100.beta[0, 0] = 0.0
+        for x in (0.5, np.array([0.1, 0.5, 1.0]), np.array([[0.1, 0.2], [0.3, 0.4]])):
+            assert basis100.psibar_values(x).shape == np.shape(x) + (n,)
 
     def test_psibar_is_beta_times_psi(self, kernel01, unit_interval):
-        basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 8))
-        for x in (0.15, 0.6, 1.0):
-            direct = basis.beta @ basis.psi_values(x)
-            assert np.allclose(basis.psibar_values(x), direct, atol=1e-13)
+        # psibar = L^{-1} psi from the blocked factor against the dense L^{-1};
+        # 65 and 129 nodes cross the block edges.
+        xs = np.concatenate([np.linspace(0.0, 1.0, 37), [0.15, 0.6]])
+        for n in (8, 65, 129):
+            basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, n))
+            beta = orthonormalize(basis.gram)
+            for x in (0.15, 0.6, 1.0):
+                direct = beta @ basis.psi_values(x)
+                assert np.allclose(basis.psibar_values(x), direct, atol=1e-13)
+            for order in range(4):
+                direct = basis.psi_values(xs, order) @ beta.T
+                error = np.max(np.abs(basis.psibar_values(xs, order) - direct))
+                assert error <= 1e-10 * np.max(np.abs(direct))
 
     def test_node_matrices(self, kernel01, unit_interval):
         pts = uniform_points(unit_interval, 6)

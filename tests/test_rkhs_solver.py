@@ -37,12 +37,16 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
-from dense_reference import collocation_matrix, node_psi_matrix
+from dense_reference import cholesky_factor, collocation_matrix, node_psi_matrix
 from rkhsivp.collocation import CollocationBasis
+from rkhsivp.problem_model import ode_residual
 from rkhsivp.rhs_expr import parse
 from rkhsivp.rhs_expr import evaluate as eval_expr
 
 TABLE_GRID = (0.16, 0.32, 0.48, 0.64, 0.80, 0.96)
+# What a basis may hold after a solve and reads of ``coefficients`` and
+# ``psibar_values``: the generators and the blocked factor, all O(n).
+BASIS_MEMBERS = {"kernel", "k", "points", "U", "M", "_left", "_right", "gram_factor"}
 
 
 def manufactured_square(k):
@@ -402,24 +406,40 @@ class TestFactoredSolve:
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
     def test_solve_never_forms_the_inverse(self, name):
-        # Both paths factor from the generators only; no n x n array is cached.
+        # Both paths factor from the generators only; no n x n array is cached,
+        # not even once A and psibar have been read.
         sol = solve_problem(builtin(name), n=30)
         assert sol.method == ("linear" if name == "ex1" else "nonlinear")
-        assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
+        assert set(vars(sol.basis)) <= BASIS_MEMBERS
+        sol.coefficients
+        sol.basis.psibar_values(np.array(TABLE_GRID))
+        assert set(vars(sol.basis)) <= BASIS_MEMBERS
+
+    @pytest.mark.parametrize("n", [8, 65, 400])
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+    def test_coefficients_match_dense_factor(self, name, n):
+        # A = L^{-1} (G gamma) from the blocked factor against L^T gamma with
+        # the dense Cholesky factor.
+        sol = solve_problem(builtin(name), n=n)
+        want = cholesky_factor(sol.basis).T @ sol.gamma
+        assert np.max(np.abs(sol.coefficients - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_nonlinear_large_n_in_linear_memory(self, ex2):
-        # A dense G alone would take 328 MB at n = 6,400.
+        # A dense G alone would take 328 MB at n = 6,400; so would a dense L
+        # or L^{-1} built to read A or psibar.
         n = 6_400
         tracemalloc.start()
         try:
             sol = solve_problem(ex2, n=n)
             report = error_report(sol, TABLE_GRID)
+            sol.coefficients
+            sol.basis.psibar_values(np.array(TABLE_GRID))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert report.max_absolute <= 0.5 / n**2
-        assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
+        assert set(vars(sol.basis)) <= BASIS_MEMBERS
 
 
 class TestBlockSolve:
@@ -513,7 +533,7 @@ class TestBlockSolve:
                 tracemalloc.stop()
             assert peak < 64 * 2**20
             assert report.max_absolute <= 0.5 / n**2
-            assert not {"gram", "chol", "beta"} & set(vars(sol.basis))
+            assert set(vars(sol.basis)) <= BASIS_MEMBERS
 
 
 def test_solve_does_not_import_scipy_integrate(tmp_path):
@@ -702,8 +722,11 @@ class TestPiecewiseEvaluation:
 
 class TestResidual:
     def test_exact_solution_has_tiny_residual(self, ex1):
-        u = lambda x, d: (ex1.exact.u, ex1.exact.du, ex1.exact.d2u)[d](x)
-        assert residual_sup_norm(u, ex1) <= 1e-8
+        xs = uniform_points(ex1.interval, 200).values
+        u0, u1, u2 = (
+            [f(x) for x in xs.tolist()] for f in (ex1.exact.u, ex1.exact.du, ex1.exact.d2u)
+        )
+        assert np.max(ode_residual(ex1, xs, u0, u1, u2)) <= 1e-8
 
     def test_decreases_with_n(self, ex1):
         r25 = residual_sup_norm(solve_problem(ex1, n=25))
@@ -746,10 +769,6 @@ class TestResidual:
         residuals = [residual_sup_norm(solve_problem(problem, n=n)) for n in (25, 51, 99)]
         assert all(math.isfinite(r) for r in residuals)
         assert residuals[0] > residuals[1] > residuals[2]
-
-    def test_callable_needs_problem(self, ex1):
-        with pytest.raises(ValueError):
-            residual_sup_norm(lambda x, d: 0.0)
 
 
 class TestErrorReport:
