@@ -8,9 +8,8 @@ step with the embedded fourth-order one as in Hairer, Norsett & Wanner,
 heuristic of Sec. II.4, safety factor 0.9, step changes bounded to [0.2, 10]
 with error exponent -1/5, the RMS error norm with scale ``tol + max(|y|,
 |y_new|) tol``, and a step floor of ten units in the last place of ``x``.
-The free fourth-order dense output of each step gives the solution on a
-uniform grid of 513 samples, served in turn through cubic Hermite
-interpolation.
+The free fourth-order dense output of each step is the trajectory: ``u`` and
+``u'`` at any point are that step's quartic, with no resampling.
 
 The only subtlety is the coefficient ``k/x`` at a left endpoint ``a = 0``:
 there a regular solution needs ``u'(a) = 0`` and the limit ``(k/x) u' -> k
@@ -47,50 +46,46 @@ def regularized_rhs(problem: ProblemSpec, x: float, u: float, up: float) -> floa
                 f"got beta = {problem.beta}"
             )
         return problem.rhs(x, u) / (1.0 + k)
-    if k == 0.0:  # no pole, so x = 0 (a sample when a < 0 < T) is ordinary
+    if k == 0.0:  # no pole, so x = 0 (inside the interval when a < 0 < T) is ordinary
         return problem.rhs(x, u)
     return problem.rhs(x, u) - (k / x) * up
 
 
 @dataclass(frozen=True, eq=False)
 class OracleTrajectory:
-    """Sampled trajectory with cubic Hermite interpolation between samples.
+    """The accepted steps and their dense output, all read-only.
 
-    ``xs`` is strictly increasing and starts at ``a`` with ``(alpha, beta)``
-    exactly.  ``upps`` holds the second derivative at the samples so the
-    first derivative interpolates with Hermite data of its own.
+    ``ts`` holds the step ends, strictly increasing from ``a`` to ``T``, and
+    ``ys[i]`` the state ``(u, u')`` at ``ts[i]``, so ``ys[0]`` is ``(alpha,
+    beta)`` exactly.  On step ``i`` of width ``h``, ``y(ts[i] + s h) = ys[i] +
+    h Q[i] (s, s^2, s^3, s^4)``; a point on a step boundary is served by the
+    earlier step, and a point outside ``[a, T]`` by the nearest one.
     """
 
-    xs: np.ndarray
-    us: np.ndarray
-    ups: np.ndarray
-    upps: np.ndarray
-    tol: float
-    accepted_steps: int
+    ts: np.ndarray
+    ys: np.ndarray
+    Q: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.xs, self.us, self.ups, self.upps):
+        for arr in (self.ts, self.ys, self.Q):
             arr.setflags(write=False)
 
-    def _hermite(self, x: float, values: np.ndarray, slopes: np.ndarray) -> float:
-        xs = self.xs
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        i = min(max(i, 0), xs.size - 2)
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        t2, t3 = t * t, t * t * t
-        return float(
-            (2 * t3 - 3 * t2 + 1) * values[i]
-            + (t3 - 2 * t2 + t) * h * slopes[i]
-            + (-2 * t3 + 3 * t2) * values[i + 1]
-            + (t3 - t2) * h * slopes[i + 1]
-        )
+    @property
+    def accepted_steps(self) -> int:
+        return len(self.Q)
+
+    def _state(self, x: float) -> np.ndarray:
+        ts = self.ts
+        i = min(max(int(np.searchsorted(ts, x, side="left")) - 1, 0), len(self.Q) - 1)
+        h = ts[i + 1] - ts[i]
+        s = np.cumprod(np.full(4, (x - ts[i]) / h))
+        return h * np.dot(self.Q[i], s) + self.ys[i]
 
     def u(self, x: float) -> float:
-        return self._hermite(x, self.us, self.ups)
+        return float(self._state(x)[0])
 
     def du(self, x: float) -> float:
-        return self._hermite(x, self.ups, self.upps)
+        return float(self._state(x)[1])
 
 
 # The Dormand-Prince 5(4) tableau: stage nodes _C, stage weights _A, the
@@ -136,9 +131,8 @@ def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float,
                     max_steps: int):
     """Adaptive steps of the pair from ``t`` to ``t_bound > t``.
 
-    Returns the step ends ``ts``, the states ``ys`` there and one dense-output
-    matrix per step: on step ``i`` of width ``h``, ``y(ts[i] + s h) = ys[i] +
-    h Q[i] (s, s^2, s^3, s^4)``.
+    Returns the step ends ``ts``, the states ``ys`` there and the stacked
+    dense-output matrices ``Q``, as :class:`OracleTrajectory` holds them.
     """
     atol = rtol = tol
     if rtol < _MIN_RTOL:
@@ -198,23 +192,7 @@ def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float,
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return np.array(ts), np.array(ys), Q
-
-
-def _dense_output(ts, ys, Q, xs: np.ndarray) -> np.ndarray:
-    """States at the sorted points ``xs``, shape ``(len(y), len(xs))``.
-
-    A point on a step boundary is served by the earlier step.
-    """
-    step = np.clip(np.searchsorted(ts, xs, side="left") - 1, 0, len(Q) - 1)
-    out = np.empty((ys.shape[1], xs.size))
-    starts = np.flatnonzero(np.diff(step, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], xs.size]):
-        i = step[lo]
-        h = ts[i + 1] - ts[i]
-        s = np.cumprod(np.tile((xs[lo:hi] - ts[i]) / h, (4, 1)), axis=0)
-        out[:, lo:hi] = h * np.dot(Q[i], s) + ys[i][:, None]
-    return out
+    return np.array(ts), np.array(ys), np.array(Q)
 
 
 def integrate(
@@ -229,8 +207,8 @@ def integrate(
     ``a < 0 <= T`` and ``k != 0`` the pole ``x = 0`` of ``k/x`` lies on the
     path, and a ``SingularityError`` is raised before any step.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     a, T = problem.interval.a, problem.interval.T
     if a == 0.0 and problem.beta != 0.0:
         raise SingularityError(
@@ -250,11 +228,6 @@ def integrate(
             raise DomainError(f"right-hand side domain error at x={x}: {exc}") from exc
 
     y0 = np.array([problem.alpha, problem.beta])
-    ts, ys, Q = _dormand_prince(rhs, a, y0, T, tol, max_steps)
-    xs = np.linspace(a, T, 513)
-    us, ups = _dense_output(ts, ys, Q, xs)
-    us[0], ups[0] = problem.alpha, problem.beta
-    upps = np.array([regularized_rhs(problem, x, u, up) for x, u, up in zip(xs, us, ups)])
-    return OracleTrajectory(
-        xs=xs, us=us, ups=ups, upps=upps, tol=tol, accepted_steps=len(Q)
-    )
+    # A non-finite stage fails the error test and counts as a rejected step.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return OracleTrajectory(*_dormand_prince(rhs, a, y0, T, tol, max_steps))

@@ -36,7 +36,6 @@ __all__ = [
     "parse",
     "evaluate",
     "pretty",
-    "depends_on",
     "affine_in",
 ]
 
@@ -331,11 +330,6 @@ def _degree(expr: Expr, name: str) -> int:
     if expr.op == "/":
         return left if right == 0 else 2
     return 2 * (left + right > 0)
-
-
-def depends_on(expr: Expr, name: str) -> bool:
-    """True when the expression mentions the given variable."""
-    return _degree(expr, name) > 0
 
 
 def affine_in(expr: Expr, name: str) -> bool:

@@ -219,6 +219,8 @@ def solve_nonlinear(
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     F = problem.rhs
     pts = basis.points.values
     s, slope = _shift(problem, pts)

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import rkhsivp
 from rkhsivp import ExpressionSyntaxError, integrate
 from rkhsivp.cli import (
     CONVERGE_COLUMNS,
@@ -376,6 +380,31 @@ class TestSolveErrors:
             assert code == 4
             assert out == ""
             assert err == f"error: right-hand side returned {shown} at node 8, x=0.8\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_oracle_tol(self, tmp_path, tol):
+        # In a subprocess with a timeout: a tolerance that reached the step
+        # loop would never return.
+        path = write_config(tmp_path, exact=None)
+        src = os.path.dirname(os.path.dirname(rkhsivp.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rkhsivp.cli", "solve", "--config", path,
+             "--n", "50", "--oracle-tol", tol],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: tol must be positive and finite, got {tol}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10"])
+    def test_nan_or_negative_sweep_tol(self, capsys, tol):
+        code, out, err = run(
+            capsys, "solve", "--problem", "ex2", "--n", "50", "--sweeps", "5", f"--tol={tol}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tol must be >= 0, got {float(tol)}\n"
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -112,16 +112,17 @@ class TestIntegrationAccuracy:
 class TestTrajectory:
     def test_sample_invariants(self, ex1):
         traj = integrate(ex1)
-        assert np.all(np.diff(traj.xs) > 0)
-        assert traj.xs[0] == 0.0 and traj.xs[-1] == 1.0
-        assert traj.us[0] == ex1.alpha
-        assert traj.ups[0] == ex1.beta
-        assert traj.accepted_steps > 0
+        assert np.all(np.diff(traj.ts) > 0)
+        assert traj.ts[0] == 0.0 and traj.ts[-1] == 1.0
+        assert traj.ys[0].tolist() == [ex1.alpha, ex1.beta]
+        assert (traj.u(0.0), traj.du(0.0)) == (ex1.alpha, ex1.beta)
+        assert traj.accepted_steps == len(traj.ts) - 1 == len(traj.Q) > 0
 
     def test_arrays_read_only(self, ex1):
         traj = integrate(ex1)
-        with pytest.raises(ValueError):
-            traj.us[0] = 99.0
+        for arr in (traj.ts, traj.ys, traj.Q):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
 
     def test_derivative_interpolation(self, ex1):
         traj = integrate(ex1)
@@ -133,6 +134,24 @@ class TestValidation:
     def test_tol_must_be_positive(self, ex1):
         with pytest.raises(ValueError):
             integrate(ex1, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tol_must_be_finite(self, ex1, tol):
+        # Refused before any step: a step with h = NaN is rejected forever.
+        def never(x, u):
+            raise AssertionError(f"F called at x={x}")
+
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate(dataclasses.replace(ex1, rhs=never), tol=tol)
+
+    def test_nonfinite_stage_is_a_rejected_step(self, ex1):
+        # F = inf past x = 0.5: each step there fails the error test, silently,
+        # until the step floor stops the integration.
+        blowup = dataclasses.replace(ex1, rhs=lambda x, u: math.inf if x > 0.5 else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="step size below"):
+                integrate(blowup)
 
     def test_step_budget(self, ex1):
         with pytest.raises(NumericError, match="budget"):
@@ -176,14 +195,15 @@ class TestPoleInsideInterval:
         assert calls == []
 
     def test_no_pole_without_k(self):
-        # With k = 0 the sample at x = 0 is an ordinary point.
+        # With k = 0, x = 0 is an ordinary point.
+        problem = parabola_across_origin(0.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = integrate(parabola_across_origin(0.0, 1.0))
-        assert 0.0 in traj.xs
-        assert np.all(np.isfinite(traj.upps))
+            traj = integrate(problem)
+            assert regularized_rhs(problem, 0.0, 1.0, 0.0) == 2.0
         for x in (-0.5, 0.0, 0.7):
             assert traj.u(x) == pytest.approx(x * x + 1.0, abs=1e-9)
+            assert traj.du(x) == pytest.approx(2.0 * x, abs=1e-9)
 
 
 def offset_problem():
@@ -198,8 +218,8 @@ def offset_problem():
     )
 
 
-def trajectory_by_scipy(problem, tol, samples=513):
-    """The same samples from scipy's RK45, the implementation of the same pair."""
+def solution_by_scipy(problem, tol):
+    """scipy's RK45, the implementation of the same pair, with dense output."""
     a, T = problem.interval.a, problem.interval.T
 
     def rhs(x, y):
@@ -212,11 +232,7 @@ def trajectory_by_scipy(problem, tol, samples=513):
             rtol=tol, atol=tol, dense_output=True,
         )
     assert sol.success
-    xs = np.linspace(a, T, samples)
-    us, ups = sol.sol(xs)
-    us[0], ups[0] = problem.alpha, problem.beta
-    upps = np.array([regularized_rhs(problem, x, u, up) for x, u, up in zip(xs, us, ups)])
-    return len(sol.t) - 1, xs, us, ups, upps
+    return sol
 
 
 class TestAgainstScipy:
@@ -224,14 +240,30 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "offset"])
     def test_same_steps_and_samples(self, name, tol):
         problem = offset_problem() if name == "offset" else builtin(name)
-        steps, xs, us, ups, upps = trajectory_by_scipy(problem, tol)
+        a, T = problem.interval.a, problem.interval.T
+        sol = solution_by_scipy(problem, tol)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traj = integrate(problem, tol=tol)
-        assert traj.accepted_steps == steps
-        assert np.array_equal(traj.xs, xs)
-        for got, want in ((traj.us, us), (traj.ups, ups), (traj.upps, upps)):
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(traj.ts, sol.t)
+        assert traj.accepted_steps == len(sol.t) - 1
+        xs = np.concatenate([
+            np.linspace(a, T, 513), np.random.default_rng(1980).uniform(a, T, 500)
+        ])
+        want = sol.sol(xs)
+        got = np.array([[traj.u(x), traj.du(x)] for x in xs.tolist()]).T
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name,nfev", [("ex1", 704), ("ex2", 380), ("ex3", 1280)])
+    def test_calls_f_as_often_as_scipy(self, name, nfev):
+        # One call per stage and two for the initial step: none after the steps.
+        problem = builtin(name)
+        calls = []
+        counted = dataclasses.replace(
+            problem, rhs=lambda x, u: calls.append(x) or problem.rhs(x, u)
+        )
+        integrate(counted, tol=1e-10)
+        assert len(calls) == solution_by_scipy(problem, 1e-10).nfev == nfev
 
     def test_tolerance_floor_warns(self, ex1):
         with pytest.warns(UserWarning, match="raised to"):

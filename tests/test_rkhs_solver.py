@@ -592,6 +592,12 @@ class TestSolveProblem:
         with pytest.raises(ValueError, match="method"):
             solve_problem(ex1, n=10, method="magic")
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10])
+    def test_sweep_tol_must_be_nonnegative(self, ex2, tol):
+        # A NaN tol would never stop the sweeps, yet raise no cap warning.
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            solve_problem(ex2, n=10, sweeps=5, tol=tol)
+
 
 class TestSolutionObject:
     def test_callable_matches_evaluate(self, ex1):
