@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from rkhsivp import builtin, integrate, solve_problem
+from rkhsivp import integrate, solve_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
