@@ -11,8 +11,8 @@ Three subcommands cover the practical workflows:
 
 ``converge``
     Re-solve the same problem for several collocation counts and report the
-    max grid error, the residual sup-norm (samples at the pole ``x = 0``
-    left out) and the solve wall time per n.
+    max grid error and the residual sup-norm (samples at the pole ``x = 0``
+    left out); the solve wall time per n goes to stderr.
 
 ``kernel-dump``
     Tabulate one kernel section R_x(y) with its first two y-derivatives and
@@ -45,7 +45,7 @@ from .errors import (
 from .kernel_space import Interval, build_w23_kernel, eval_kernel
 from .problem_model import AffineRhs, ExactSolution, ProblemSpec, builtin, verify_exact
 from .reference_oracle import integrate
-from .rhs_expr import affine_in
+from .rhs_expr import affine_in, derivative
 from .rhs_expr import evaluate as eval_expr
 from .rhs_expr import parse as parse_expr
 from .rkhs_solver import RkhsSolution, error_report, residual_sup_norm, solve_problem
@@ -60,7 +60,7 @@ EXACT_COLUMNS = (
     "Relative error",
 )
 ORACLE_COLUMNS = ("x_i", "Approximate solution", "Oracle solution", "Deviation")
-CONVERGE_COLUMNS = ("n", "max_absolute_error", "residual_sup_norm", "solve_seconds")
+CONVERGE_COLUMNS = ("n", "max_absolute_error", "residual_sup_norm")
 KERNEL_COLUMNS = ("y", "R", "dR", "d2R", "symmetry_gap")
 
 _CONFIG_KEYS = ("name", "k", "a", "T", "alpha", "beta", "rhs")
@@ -96,10 +96,11 @@ def load_problem_config(path: str, strict: bool = False) -> ProblemSpec:
     """Read a JSON problem definition.
 
     Required keys: name, k, a, T, alpha, beta, rhs.  Optional: exact, an
-    expression in x whose derivatives are taken by finite differences.  When
-    an exact solution is given it is substituted into the equation; a
+    expression in x whose derivatives are taken exactly (``derivative``).
+    When an exact solution is given it is substituted into the equation; a
     residual above 1e-6 (or an initial-condition mismatch above 1e-7) is
-    reported as a warning, or as an error under strict mode.
+    reported as a warning, or as an error under strict mode.  A right-hand
+    side affine in u gets the affine form g = F(x, 0), q = dF/du.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -131,41 +132,17 @@ def load_problem_config(path: str, strict: bool = False) -> ProblemSpec:
     beta = _config_number(raw, "beta")
 
     rhs_ast = _parse_config_expr(raw, "rhs")
-
-    def rhs(x: float, u: float) -> float:
-        return eval_expr(rhs_ast, x, u)
-
     affine = None
     if affine_in(rhs_ast, "u"):
-        # Structurally F(x, u) = g(x) + q(x) u, so two evaluations recover
-        # the pieces and the fast linear path becomes available.
-        def g(x: float) -> float:
-            return eval_expr(rhs_ast, x, 0.0)
-
-        def q(x: float) -> float:
-            return eval_expr(rhs_ast, x, 1.0) - eval_expr(rhs_ast, x, 0.0)
-
-        affine = AffineRhs(g, q)
-
+        q_ast = derivative(rhs_ast, "u")
+        affine = AffineRhs(g=lambda x: eval_expr(rhs_ast, x, 0.0),
+                           q=lambda x: eval_expr(q_ast, x, 0.0))
     exact = None
     if raw.get("exact") is not None:
-        exact_ast = _parse_config_expr(raw, "exact")
+        exact = ExactSolution.from_expression(_parse_config_expr(raw, "exact"))
 
-        def u_exact(x: float) -> float:
-            return eval_expr(exact_ast, x, 0.0)
-
-        exact = ExactSolution.from_function(u_exact)
-
-    problem = ProblemSpec(
-        name=name,
-        k=k,
-        interval=interval,
-        alpha=alpha,
-        beta=beta,
-        rhs=rhs,
-        affine=affine,
-        exact=exact,
-    )
+    problem = ProblemSpec(name=name, k=k, interval=interval, alpha=alpha, beta=beta,
+                          rhs=lambda x, u: eval_expr(rhs_ast, x, u), affine=affine, exact=exact)
     if exact is not None:
         report = verify_exact(problem)
         if not report.ok:
@@ -298,9 +275,12 @@ def _emit(
 ) -> None:
     if args.output in (None, "-"):
         _write_table(sys.stdout, args.format, columns, rows, meta)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             _write_table(fh, args.format, columns, rows, meta)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {args.output!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +326,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     for n in ns:
         sol, seconds = _timed_solve(problem, n, args)
         err = float(np.max(np.abs(sol(grid) - ref)))
-        res = residual_sup_norm(sol)
-        rows.append((n, err, res, seconds))
+        rows.append((n, err, residual_sup_norm(sol)))
+        print(f"{problem.name}: n={n} ({sol.method}) solved in {seconds:.3f} s", file=sys.stderr)
 
     for prev, cur in zip(rows, rows[1:]):
         for col, label in ((1, "max absolute error"), (2, "residual sup-norm")):

@@ -192,11 +192,7 @@ class CollocationBasis:
         use ``C`` and the rest ``C^T``, so row ``j`` is ``sum_{i <= j} gamma_i
         C U[i] + sum_{i > j} gamma_i C^T U[i]`` (nodes counted from 1).
         """
-        gamma = np.asarray(gamma, dtype=float)
-        out = np.zeros((6, self.n + 1))
-        np.cumsum(self._left * gamma, axis=1, out=out[:, 1:])
-        out[:, :-1] += np.cumsum((self._right * gamma)[:, ::-1], axis=1)[:, ::-1]
-        return out.T
+        return _cell_sums(self._left, self._right, np.asarray(gamma, dtype=float))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -264,13 +260,18 @@ class CollocationBasis:
         return gamma
 
 
+def _cell_sums(Qt: np.ndarray, Rt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows ``j = 0..n``: ``sum_{i <= j} x_i Qt[:, i] + sum_{i > j} x_i Rt[:, i]``, i from 1."""
+    out = np.zeros((6, len(x) + 1))
+    np.cumsum(Qt * x, axis=1, out=out[:, 1:])
+    out[:, :-1] += np.cumsum((Rt * x)[:, ::-1], axis=1)[:, ::-1]
+    return out.T
+
+
 def _quasiseparable_product(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
                             x: np.ndarray) -> np.ndarray:
     """``K x`` for ``K[i, j] = P[i] . Qt[:, j]`` (``j <= i``), ``P[i] . Rt[:, j]`` (``j > i``)."""
-    lower = np.cumsum(Qt * x, axis=1)
-    upper = np.zeros_like(lower)
-    upper[:, :-1] = np.cumsum((Rt * x)[:, :0:-1], axis=1)[:, ::-1]
-    return np.einsum("ip,pi->i", P, lower + upper)
+    return np.einsum("ip,ip->i", P, _cell_sums(Qt, Rt, x)[1:])
 
 
 def _block_lu_solve(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,

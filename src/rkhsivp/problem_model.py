@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernel_space import Interval
+from .rhs_expr import Expr, derivative, evaluate, parse
 
 __all__ = [
     "AffineRhs",
@@ -49,24 +50,15 @@ class ExactSolution:
     d2u: Callable[[float], float]
 
     @classmethod
-    def from_function(cls, f: Callable[[float], float]) -> "ExactSolution":
-        """Derivatives by fourth-order central differences with step ``1e-3``.
+    def from_expression(cls, expr: Expr) -> "ExactSolution":
+        """``u`` given as an expression in ``x``; ``du`` and ``d2u`` are its exact derivatives.
 
-        Used for solutions supplied only as expressions (problem definition
-        files).  The stencil reaches ``2e-3`` beyond the evaluation point, so
-        ``f`` must tolerate arguments slightly outside the domain.
+        Each function walks its tree with :func:`evaluate` (looked up when
+        called), at ``u = 0``.
         """
-        h = 1e-3
-
-        def du(x: float) -> float:
-            return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-        def d2u(x: float) -> float:
-            return (
-                -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
-            ) / (12 * h * h)
-
-        return cls(u=f, du=du, d2u=d2u)
+        du = derivative(expr, "x")
+        trees = (expr, du, derivative(du, "x"))
+        return cls(*(lambda x, tree=tree: evaluate(tree, x, 0.0) for tree in trees))
 
 
 @dataclass(frozen=True)
@@ -149,11 +141,7 @@ def _example_1() -> ProblemSpec:
         beta=0.0,
         rhs=lambda x, u: g(x) - u,
         affine=AffineRhs(g=g, q=lambda x: -1.0),
-        exact=ExactSolution(
-            u=lambda x: x**3 + x**2,
-            du=lambda x: 3.0 * x**2 + 2.0 * x,
-            d2u=lambda x: 6.0 * x + 2.0,
-        ),
+        exact=ExactSolution.from_expression(parse("x^3 + x^2")),
     )
 
 
@@ -166,11 +154,7 @@ def _example_2() -> ProblemSpec:
         alpha=0.0,
         beta=0.0,
         rhs=lambda x, u: -4.0 * (2.0 * math.exp(u) + math.exp(0.5 * u)),
-        exact=ExactSolution(
-            u=lambda x: -2.0 * math.log1p(x * x),
-            du=lambda x: -4.0 * x / (1.0 + x * x),
-            d2u=lambda x: -4.0 * (1.0 - x * x) / (1.0 + x * x) ** 2,
-        ),
+        exact=ExactSolution.from_expression(parse("-2*ln(1 + x^2)")),
     )
 
 
@@ -179,10 +163,6 @@ def _example_3() -> ProblemSpec:
     # exact u = exp(-pi x^2 / 2).  The logarithm makes positivity of the
     # iterates part of the problem's domain.
     pi = math.pi
-
-    def u_exact(x: float) -> float:
-        return math.exp(-0.5 * pi * x * x)
-
     return ProblemSpec(
         name="ex3",
         k=8.0,
@@ -190,23 +170,20 @@ def _example_3() -> ProblemSpec:
         alpha=1.0,
         beta=0.0,
         rhs=lambda x, u: -9.0 * pi * u - 2.0 * pi * u * math.log(u),
-        exact=ExactSolution(
-            u=u_exact,
-            du=lambda x: -pi * x * u_exact(x),
-            d2u=lambda x: (pi * pi * x * x - pi) * u_exact(x),
-        ),
+        exact=ExactSolution.from_expression(parse("exp(-0.5*pi*x*x)")),
     )
+
+
+_BUILTINS = {"ex1": _example_1, "ex2": _example_2, "ex3": _example_3}
 
 
 def builtin_examples() -> list[ProblemSpec]:
     """The three bundled benchmark problems."""
-    return [_example_1(), _example_2(), _example_3()]
+    return [make() for make in _BUILTINS.values()]
 
 
 def builtin(name: str) -> ProblemSpec:
     """Look up a bundled problem by name (``ex1``, ``ex2``, ``ex3``)."""
-    for p in builtin_examples():
-        if p.name == name:
-            return p
-    known = ", ".join(p.name for p in builtin_examples())
-    raise ConfigError(f"unknown problem {name!r} (known: {known})")
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown problem {name!r} (known: {', '.join(_BUILTINS)})")
+    return _BUILTINS[name]()

@@ -14,7 +14,9 @@ Identifiers are the variables ``x`` and ``u``, the constants ``pi`` and
 errors carry the character offset of the offending token; evaluation follows
 IEEE double semantics (overflow saturates to infinity) and raises a domain
 error naming the offending sub-expression for logs of non-positive numbers,
-division by zero and fractional powers of negative bases.
+division by zero and fractional powers of negative bases.  :func:`derivative`
+differentiates a tree exactly, and :func:`affine_in` asks whether that
+derivative is free of the variable.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ __all__ = [
     "evaluate",
     "pretty",
     "affine_in",
+    "derivative",
 ]
 
 VARIABLES = ("x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh", "sqrt", "abs")
+_MATH = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
+         "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt, "abs": abs}
+FUNCTIONS = tuple(_MATH)
 
 _MAX_DEPTH = 200
 
@@ -240,36 +245,17 @@ def _eval(node: Expr, x: float, u: float) -> float:
     if isinstance(node, Neg):
         return -_eval(node.operand, x, u)
     if isinstance(node, Call):
-        v = _eval(node.arg, x, u)
-        if node.func == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if node.func == "ln":
-            if v <= 0.0:
-                _domain(f"logarithm of non-positive value {v}", node)
-            return math.log(v)
-        if node.func == "sqrt":
-            if v < 0.0:
-                _domain(f"square root of negative value {v}", node)
-            return math.sqrt(v)
-        # sin and cos of an infinity are NaN, as in IEEE (math raises).
-        if node.func == "sin":
-            return math.sin(v) if not math.isinf(v) else math.nan
-        if node.func == "cos":
-            return math.cos(v) if not math.isinf(v) else math.nan
-        if node.func == "sinh":
-            try:
-                return math.sinh(v)
-            except OverflowError:
-                return math.copysign(math.inf, v)
-        if node.func == "cosh":
-            try:
-                return math.cosh(v)
-            except OverflowError:
-                return math.inf
-        return abs(v)
+        v, f = _eval(node.arg, x, u), node.func
+        if f == "ln" and v <= 0.0:
+            _domain(f"logarithm of non-positive value {v}", node)
+        if f == "sqrt" and v < 0.0:
+            _domain(f"square root of negative value {v}", node)
+        if f in ("sin", "cos") and math.isinf(v):
+            return math.nan  # as in IEEE (math raises)
+        try:
+            return _MATH[f](v)
+        except OverflowError:  # exp, sinh and cosh saturate, as in IEEE
+            return math.copysign(math.inf, v) if f == "sinh" else math.inf
     # binary operator
     lv = _eval(node.left, x, u)
     rv = _eval(node.right, x, u)
@@ -301,40 +287,78 @@ def evaluate(expr: Expr, x: float, u: float) -> float:
     return _eval(expr, float(x), float(u))
 
 
+_ZERO, _ONE = Num(0.0), Num(1.0)
+# d/dv f(v) for each function f, as a tree in v.
+_CHAIN = {
+    "exp": lambda v: Call("exp", v), "ln": lambda v: BinOp("/", _ONE, v),
+    "sin": lambda v: Call("cos", v), "cos": lambda v: Neg(Call("sin", v)),
+    "sinh": lambda v: Call("cosh", v), "cosh": lambda v: Call("sinh", v),
+    "sqrt": lambda v: BinOp("/", Num(0.5), Call("sqrt", v)),
+    "abs": lambda v: BinOp("/", v, Call("abs", v)),
+}
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    """``a * b``; a ``_ZERO`` factor (a term that is not there) or ``_ONE`` drops out."""
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    return b if a is _ONE else a if b is _ONE else BinOp("*", a, b)
+
+
+def _add(a: Expr, b: Expr, op: str = "+") -> Expr:
+    """``a + b`` or ``a - b`` without its ``_ZERO`` terms."""
+    if a is _ZERO:
+        return b if op == "+" or b is _ZERO else Neg(b)
+    return a if b is _ZERO else BinOp(op, a, b)
+
+
+def derivative(expr: Expr, name: str) -> Expr:
+    """The partial derivative of ``expr`` in the variable ``name``, as a new tree.
+
+    A subtree free of the variable gives no term, so the result is ``Num(0)``
+    exactly when ``expr`` does not mention the variable.  A divisor or an
+    exponent free of it takes the short rule (``r l^(r-1) l'``, no ``ln l``).
+    The result can still fail where ``expr`` is defined: ``abs(v)`` gives
+    ``v/abs(v)``, ``sqrt(v)`` gives ``0.5/sqrt(v)`` and ``v^0.5`` gives
+    ``0.5*v^(0.5-1)``, all undefined at ``v = 0``.  Each derivative of an
+    m-factor product multiplies the size of its tree by about m; write
+    ``x^m``, not ``x*...*x``.
+    """
+    if isinstance(expr, (Num, Name)):
+        return _ONE if expr == Name(name) else _ZERO
+    if isinstance(expr, Neg):
+        return _add(_ZERO, derivative(expr.operand, name), "-")
+    if isinstance(expr, Call):
+        return _mul(_CHAIN[expr.func](expr.arg), derivative(expr.arg, name))
+    l, r, op = expr.left, expr.right, expr.op
+    dl, dr = derivative(l, name), derivative(r, name)
+    if op in "+-":
+        return _add(dl, dr, op)
+    if op == "*":
+        return _add(_mul(dl, r), _mul(l, dr))
+    if dl is _ZERO and dr is _ZERO:
+        return _ZERO
+    if op == "/":  # (l' - (l/r) r') / r
+        return BinOp("/", _add(dl, _mul(expr, dr), "-"), r)
+    if dr is _ZERO:  # r l^(r-1) l'
+        return _mul(BinOp("*", r, BinOp("^", l, BinOp("-", r, _ONE))), dl)
+    log_term = _mul(dr, Call("ln", l))  # l^r (r' ln(l) + r l'/l)
+    return _mul(expr, log_term if dl is _ZERO else _add(log_term, BinOp("/", _mul(r, dl), l)))
+
+
+def affine_in(expr: Expr, name: str) -> bool:
+    """True when the derivative of ``expr`` in the variable does not mention it.
+
+    A structural test: ``u^1`` is not affine, ``0*u^2`` neither.
+    """
+    return derivative(derivative(expr, name), name) is _ZERO
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def _wrap(s: str, wanted: bool) -> str:
     return f"({s})" if wanted else s
-
-
-def _degree(expr: Expr, name: str) -> int:
-    """Structural degree in the variable: 0 free of it, 1 affine, 2 otherwise.
-
-    Powers and calls that mention the variable count as 2, as does a product
-    of two dependent factors: 1 is exact, 2 may be conservative (``u^1``).
-    """
-    if isinstance(expr, Num):
-        return 0
-    if isinstance(expr, Name):
-        return int(expr.ident == name)
-    if isinstance(expr, Neg):
-        return _degree(expr.operand, name)
-    if isinstance(expr, Call):
-        return 2 * (_degree(expr.arg, name) > 0)
-    left, right = _degree(expr.left, name), _degree(expr.right, name)
-    if expr.op in "+-":
-        return max(left, right)
-    if expr.op == "*":
-        return min(left + right, 2)
-    if expr.op == "/":
-        return left if right == 0 else 2
-    return 2 * (left + right > 0)
-
-
-def affine_in(expr: Expr, name: str) -> bool:
-    """True when the expression is structurally affine in the variable (see ``_degree``)."""
-    return _degree(expr, name) < 2
 
 
 def pretty(node: Expr) -> str:

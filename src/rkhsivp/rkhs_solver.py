@@ -196,7 +196,7 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
         raise ValueError(f"problem {problem.name!r} has no affine right-hand side form")
     pts = basis.points.values
     s, slope = _shift(problem, pts)
-    # g first: where F is infinite, a q split off as F(x, 1) - F(x, 0) is NaN.
+    # g first: where F is infinite, the message names g's inf, not a NaN in q.
     g = np.array([_rhs_at_node(aff.g, j, x) for j, x in enumerate(pts)])
     q = np.array([_rhs_at_node(aff.q, j, x) for j, x in enumerate(pts)])
     gamma = basis.solve_collocation(q, g + q * s - slope)

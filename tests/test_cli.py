@@ -135,6 +135,39 @@ class TestSolveConfig:
         assert problem.affine.q(0.3) == -1.0
         assert problem.affine.g(0.5) == 0.5**3 + 0.5**2 + 12 * 0.5 + 6
 
+    def test_affine_split_is_exact(self, tmp_path):
+        # q = dF/du, not F(x, 1) - F(x, 0): x - 1/3 to the last bit.
+        path = write_config(tmp_path, rhs="x*u - u/3 + sin(x)", exact=None)
+        problem = load_problem_config(path)
+        for x in (0.1, 0.37, 1.0):
+            assert problem.affine.q(x) == x - 1 / 3
+            assert problem.affine.g(x) == math.sin(x)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k": 2, "T": 1, "rhs": "8.75*x^0.5", "exact": "x^2.5"},
+            {"k": 2, "T": 1000, "rhs": "6", "exact": "x^2"},
+            {"k": 0, "T": 1e6, "rhs": "1", "exact": "x^2/2"},
+        ],
+        ids=["fractional-power", "long-interval", "k0-very-long"],
+    )
+    def test_exact_checks_pass_strict(self, capsys, tmp_path, overrides):
+        # A difference stencil stepped below a = 0 or lost digits on these.
+        path = write_config(tmp_path, **overrides)
+        code, out, err = run(capsys, "solve", "--config", path, "--n", "20",
+                             "--grid", str(overrides["T"]), "--strict")
+        assert code == 0, err
+        assert "warning" not in err
+
+    def test_derivative_dividing_by_zero_names_it(self, capsys, tmp_path):
+        # u = |x|^3 is a solution, but its derivative tree divides by |x| at a = 0.
+        path = write_config(tmp_path, rhs="12*abs(x)", exact="abs(x)^3")
+        code, out, err = run(capsys, "solve", "--config", path)
+        assert code == 5
+        assert out == ""
+        assert err == "error: division by zero in 'x/abs(x)'\n"
+
     def test_nonaffine_rhs_not_linear(self, tmp_path):
         path = write_config(tmp_path, rhs="u^2 - x", exact=None)
         assert not load_problem_config(path).is_linear
@@ -406,6 +439,13 @@ class TestSolveErrors:
         assert out == ""
         assert err == f"error: tol must be >= 0, got {float(tol)}\n"
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(capsys, "solve", "--problem", "ex1", "--n", "10", "--output", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {target!r}: ")
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
@@ -481,7 +521,9 @@ class TestPoleInsideInterval:
             k=k, a=-1, T=1, alpha=alpha, beta=-2, rhs=rhs, exact=exact,
         )
         assert code == 0, err
-        assert err == ""
+        assert [line.split(" solved in ")[0] for line in err.splitlines()] == [
+            f"parabola: n={n} (linear)" for n in (25, 51, 99)
+        ]
         residuals = [float(r[2]) for r in parse_csv(out)[1]]
         assert all(math.isfinite(r) for r in residuals)
         assert residuals[0] > residuals[1] > residuals[2]
@@ -542,6 +584,16 @@ class TestConverge:
         _, rows = parse_csv(out)
         errors = [float(r[1]) for r in rows]
         assert errors[0] > errors[1] > errors[2]
+
+    def test_stdout_is_byte_identical(self, capsys):
+        argv = ("converge", "--problem", "ex1", "--n-list", "25,50,100")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[:2] == second[:2] == (0, first[1])
+        assert parse_csv(first[1])[0] == ("n", "max_absolute_error", "residual_sup_norm")
+        # The timings go to stderr, one line per n.
+        assert [line.split(" solved in ")[0] for line in first[2].splitlines()] == [
+            f"ex1: n={n} (linear)" for n in (25, 50, 100)
+        ]
 
     def test_json_meta(self, capsys):
         code, out, _ = run(

@@ -14,7 +14,9 @@ from rkhsivp import (
     builtin_examples,
     verify_exact,
 )
+from rkhsivp import problem_model
 from rkhsivp.problem_model import ode_residual
+from rkhsivp.rhs_expr import parse
 
 
 def parabola(k, a, T, rhs):
@@ -155,15 +157,53 @@ class TestOdeResidual:
         assert np.max(residual) <= 1e-14
 
 
-class TestExactSolutionFromFunction:
-    def test_derivatives_by_stencil(self):
-        exact = ExactSolution.from_function(math.sin)
+class TestExactSolutionFromExpression:
+    def test_derivatives_are_exact(self):
+        exact = ExactSolution.from_expression(parse("sin(x)"))
         for x in (0.3, 1.1, 2.0):
             assert exact.u(x) == math.sin(x)
-            assert exact.du(x) == pytest.approx(math.cos(x), abs=1e-9)
-            assert exact.d2u(x) == pytest.approx(-math.sin(x), abs=1e-7)
+            assert exact.du(x) == math.cos(x)
+            assert exact.d2u(x) == -math.sin(x)
 
-    def test_polynomials_are_nearly_exact(self):
-        exact = ExactSolution.from_function(lambda x: x**3 + x**2)
-        assert exact.du(0.5) == pytest.approx(3 * 0.25 + 1.0, abs=1e-11)
-        assert exact.d2u(0.5) == pytest.approx(3 + 2.0, abs=1e-8)
+    def test_polynomials_are_exact(self):
+        exact = ExactSolution.from_expression(parse("x^3 + x^2"))
+        assert exact.du(0.5) == 3 * 0.25 + 1.0
+        assert exact.d2u(0.5) == 3 + 2.0
+
+    def test_no_sample_outside_the_interval(self):
+        # x^2.5 is undefined for x < 0; every check sample lies in [a, T].
+        problem = ProblemSpec(
+            name="p", k=2.0, interval=Interval(0.0, 1.0), alpha=0.0, beta=0.0,
+            rhs=lambda x, u: 8.75 * x**0.5,
+            exact=ExactSolution.from_expression(parse("x^2.5")),
+        )
+        report = verify_exact(problem)
+        assert report.ok
+        assert report.max_residual <= 1e-14
+        assert report.ic_slope_error == 0.0
+
+    @pytest.mark.parametrize(
+        "name,du,d2u",
+        [
+            ("ex1", lambda x: 3 * x**2 + 2 * x, lambda x: 6 * x + 2),
+            ("ex2", lambda x: -4 * x / (1 + x * x), lambda x: -4 * (1 - x * x) / (1 + x * x) ** 2),
+            (
+                "ex3",
+                lambda x: -math.pi * x * math.exp(-0.5 * math.pi * x * x),
+                lambda x: (math.pi**2 * x * x - math.pi) * math.exp(-0.5 * math.pi * x * x),
+            ),
+        ],
+        ids=["ex1", "ex2", "ex3"],
+    )
+    def test_builtins_match_hand_derivatives(self, name, du, d2u):
+        exact = builtin(name).exact
+        for x in np.linspace(0.0, 1.0, 41).tolist():
+            assert exact.du(x) == pytest.approx(du(x), rel=1e-14, abs=1e-15)
+            assert exact.d2u(x) == pytest.approx(d2u(x), rel=1e-14, abs=1e-15)
+
+    def test_builtin_builds_only_the_requested_problem(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(problem_model, "parse",
+                            lambda text: parsed.append(text) or parse(text))
+        builtin("ex2")
+        assert parsed == ["-2*ln(1 + x^2)"]

@@ -19,6 +19,7 @@ from rkhsivp.rhs_expr import (
     Neg,
     Num,
     affine_in,
+    derivative,
     evaluate,
     parse,
     pretty,
@@ -247,6 +248,11 @@ class TestStructureQueries:
             ("2^u", False),
             ("x/u", False),
             ("abs(u)", False),
+            ("u*0", True),
+            ("exp(x)*u", True),
+            ("u/(x+1)", True),
+            ("0*u^2", False),
+            ("(u+1)^1", False),
         ),
     )
     def test_affine_in_u(self, text, expected):
@@ -296,6 +302,147 @@ def _mentions_u(node):
     if isinstance(node, Call):
         return _mentions_u(node.arg)
     return _mentions_u(node.left) or _mentions_u(node.right)
+
+
+# |f'(v)| for each function f, for the rounding bound below.
+_SLOPE = {"exp": math.exp, "ln": lambda v: 1 / abs(v),
+          "sin": lambda v: abs(math.cos(v)), "cos": lambda v: abs(math.sin(v)),
+          "sinh": math.cosh, "cosh": lambda v: abs(math.sinh(v)),
+          "sqrt": lambda v: 0.5 / math.sqrt(v), "abs": lambda v: 1.0}
+
+
+def _rounding(node, x, u):
+    """``evaluate(node, x, u)`` and a first-order bound on its rounding error.
+
+    Each operation adds two ulps of its result (and the least subnormal, for
+    underflow) to the errors of its operands carried through it, so
+    cancellation (``1 - x*cos(x)/sin(x)`` near 0) shows in the bound.
+    """
+    eps = 2.0**-52
+    v = evaluate(node, x, u)
+    if isinstance(node, (Num, Name)):
+        return v, eps * abs(v) if node in (Name("pi"), Name("e")) else 0.0
+    if isinstance(node, Neg):
+        return v, _rounding(node.operand, x, u)[1]
+    if isinstance(node, Call):
+        a, ea = _rounding(node.arg, x, u)
+        return v, (_SLOPE[node.func](a) * ea if ea else 0.0) + eps * abs(v) + 2.0**-1074
+    (a, ea), (b, eb) = _rounding(node.left, x, u), _rounding(node.right, x, u)
+    if node.op in "+-":
+        carried = ea + eb
+    elif node.op == "*":
+        carried = abs(a) * eb + abs(b) * ea
+    elif node.op == "/":
+        carried = (ea + abs(v) * eb) / abs(b)
+    else:
+        carried = ((abs(b * a ** (b - 1)) * ea if ea else 0.0)
+                   + (abs(v * math.log(abs(a))) * eb if eb and a else 0.0))
+    return v, carried + eps * abs(v) + 2.0**-1074
+
+
+def _differences(tree, x, u, h):
+    """Differences of ``tree`` in x on the grid ``x + j h``, ``|j| <= 4``.
+
+    Returns the central 5-point first and second differences at steps h and
+    2h, the gap between the one-sided 5-point first differences to the right
+    and to the left of x, the largest ``|F(x + j h) - F(x)|``, and a bound on
+    the error of each F value: its rounding, the rounding of the differences,
+    and that of the grid point (with ``|F'|`` read as the largest of the
+    central first differences).
+    """
+    f, noise = {}, 0.0
+    for j in range(-4, 5):
+        f[j], e = _rounding(tree, x + j * h, u)
+        noise = max(noise, e + 2.0**-51 * abs(f[j]))
+
+    def central(s):
+        a, b, c, d, e = (f[j * s] for j in (-2, -1, 0, 1, 2))
+        first = (a - 8 * b + 8 * d - e) / (12 * s * h)
+        return first, (-a + 16 * b - 30 * c + 16 * d - e) / (12 * (s * h) ** 2)
+
+    def one_sided(s):  # s = 1 reads the grid right of x, s = -1 left of it
+        a, b, c, d, e = (f[j * s] for j in range(5))
+        return s * (-25 * a + 48 * b - 36 * c + 16 * d - 3 * e) / (12 * h)
+
+    fine, coarse = central(1), central(2)
+    slope = max(abs(fine[0]), abs(coarse[0]))
+    noise += 2.0**-52 * (abs(x) + 4 * h) * slope
+    spread = max(abs(v - f[0]) for v in f.values())
+    return fine, coarse, one_sided(1) - one_sided(-1), spread, noise
+
+
+class TestDerivative:
+    def test_affine_coefficient_is_exact(self):
+        q = derivative(parse("x*u - u/3 + sin(x)"), "u")
+        assert pretty(q) == "x-1/3"
+        for x in (-2.0, 0.0, 0.3, 7.5):
+            assert evaluate(q, x, 123.0) == x - 1 / 3
+
+    def test_fractional_power_at_zero(self):
+        d1 = derivative(parse("x^2.5"), "x")
+        d2 = derivative(d1, "x")
+        assert evaluate(d1, 0.0, 0.0) == 0.0
+        assert evaluate(d2, 0.0, 0.0) == 0.0
+        assert evaluate(d1, 4.0, 0.0) == 2.5 * 8.0
+        assert evaluate(d2, 4.0, 0.0) == 3.75 * 2.0
+
+    @pytest.mark.parametrize("text", ["pi*sin(x)^2", "ln(x)/e", "u", "3"])
+    def test_free_of_the_variable_is_zero(self, text):
+        assert derivative(parse(text), "y") == Num(0.0)
+
+    @pytest.mark.parametrize(
+        "text,sub", [("abs(x)^3", "x/abs(x)"), ("sqrt(x)", "0.5/sqrt(x)")]
+    )
+    def test_rules_that_divide_fail_at_zero(self, text, sub):
+        # abs(x)^3 is smooth enough at 0, but its derivative tree divides there.
+        with pytest.raises(ExpressionDomainError) as err:
+            evaluate(derivative(parse(text), "x"), 0.0, 0.0)
+        assert err.value.subexpression == sub
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tree=TREES, x=st.floats(-3, 3), u=st.floats(-2, 2))
+    # abs(x) just beside its kink: both central differences read about 0.
+    @example(tree=Call("abs", Name("x")), x=1.3724200594928094e-09, u=0.0)
+    # Every rule at least once, whatever the draws.
+    @example(tree=parse("ln(x)*sqrt(x) - abs(x - 3)"), x=1.3, u=0.0)
+    @example(tree=parse("sin(x)/cos(u*x) + exp(x)^2.5"), x=0.7, u=1.5)
+    @example(tree=parse("sinh(x)*cosh(x) - x^x - 2^(u*x)"), x=1.1, u=0.5)
+    def test_matches_difference_quotients(self, tree, x, u):
+        # Where the differences at steps h and 2h agree, the exact
+        # derivatives agree with the finer one to its error.
+        h, d1_tree = 1e-3, derivative(tree, "x")
+        try:
+            exact = [_rounding(t, x, u) for t in (d1_tree, derivative(d1_tree, "x"))]
+            fine, coarse, gap, spread, noise = _differences(tree, x, u, h)
+        except (ExpressionDomainError, ArithmeticError, ValueError):
+            assume(False)
+        assume(all(map(math.isfinite, (*sum(exact, ()), *fine, *coarse, gap, noise))))
+        # F must move on the grid as much as its derivatives say: a feature
+        # narrower than h (exp(c/x) with a tiny c, just beside 0) is invisible
+        # to the differences.
+        assume(abs(exact[0][0]) * h + abs(exact[1][0]) * h**2 <= 1e3 * (spread + noise))
+        # A kink or pole within 4h makes the one-sided differences disagree,
+        # even where the central ones cancel it (abs(x) just beside 0).
+        assume(abs(gap) <= 1e-3 * abs(fine[0]) + 22 * noise / h)
+        # The differences magnify F's rounding by up to 3/h and 22/h^2.
+        f_errs = (3 * noise / h, 22 * noise / h**2)
+        for (d, d_err), f, c, f_err in zip(exact, fine, coarse, f_errs):
+            assume(abs(c - f) <= 1e-4 * abs(f) + 2 * f_err)
+            assert abs(d - f) <= 2 * abs(c - f) + 2 * (d_err + f_err) + 1e-300
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tree=TREES, x=st.floats(-3, 3))
+    def test_affine_coefficient_is_the_difference(self, tree, x):
+        # On an affine F, dF/du at u = 0 is F(x, 1) - F(x, 0) up to rounding.
+        assume(affine_in(tree, "u"))
+        try:
+            q = evaluate(derivative(tree, "u"), x, 0.0)
+            f0, f1 = evaluate(tree, x, 0.0), evaluate(tree, x, 1.0)
+        except ExpressionDomainError:
+            assume(False)
+        scale = _magnitude(tree, x)
+        assume(all(map(math.isfinite, (q, f0, f1, scale))))
+        assert abs(q - (f1 - f0)) <= 1e-12 * scale + 1e-300
 
 
 class TestFuzz:
