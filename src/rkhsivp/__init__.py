@@ -36,7 +36,6 @@ from .problem_model import (
     ExactnessReport,
     ProblemSpec,
     builtin,
-    builtin_examples,
     verify_exact,
 )
 from .reference_oracle import OracleTrajectory, integrate, regularized_rhs
@@ -76,7 +75,6 @@ __all__ = [
     "build_basis",
     "build_w23_kernel",
     "builtin",
-    "builtin_examples",
     "error_report",
     "eval_kernel",
     "evaluate",

@@ -342,10 +342,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_dump(args: argparse.Namespace) -> int:
-    try:
-        interval = Interval(args.a, args.T)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    interval = Interval(args.a, args.T)
     if not interval.contains(args.x):
         raise ConfigError(
             f"x={args.x:g} lies outside [{interval.a:g}, {interval.T:g}]"

@@ -105,8 +105,17 @@ def _require_regular(points: PointSet, k: float) -> None:
 
 
 def gram_matrix(kernel: W23Kernel, k: float, points: PointSet) -> np.ndarray:
-    """Pairwise inner products of the basis functions, ``G[i, j] = <psi_i, psi_j>``."""
-    return build_basis(kernel, k, points).gram
+    """Pairwise inner products of the basis functions, ``G[i, j] = <psi_i, psi_j>``.
+
+    ``G[j, i] = U[j] . C U[i]`` for ``x_i <= x_j``, with ``C^T`` above.
+    """
+    basis = build_basis(kernel, k, points)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = basis._kernel_rows(basis.U, points.values)
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise NumericError(f"non-finite Gram entry at ({int(i) + 1}, {int(j) + 1})")
+    return out
 
 
 def _cholesky(gram: np.ndarray) -> np.ndarray:
@@ -132,11 +141,10 @@ def orthonormalize(gram: np.ndarray) -> np.ndarray:
 class CollocationBasis:
     """Kernel, nodes and the generators: operator rows ``U``, node monomials ``M``.
 
-    ``gram_factor`` (``G = L L^T`` in O(n)) and, for checks, the dense
-    ``gram`` are built from them on first read.  Immutable; the generators
-    and ``gram`` are read-only.  ``psi_values``
-    supports derivative orders 0..3 in the evaluation variable (order 3 exists
-    for the quadrature oracles; the public solution interface stops at 2).
+    ``gram_factor`` (``G = L L^T`` in O(n)) is built from them on first read.
+    Immutable; the generators are read-only.  ``psi_values`` supports
+    derivative orders 0..3 in the evaluation variable (order 3 exists for the
+    quadrature oracles; the public solution interface stops at 2).
     """
 
     def __init__(self, kernel: W23Kernel, k: float, points: PointSet):
@@ -193,17 +201,6 @@ class CollocationBasis:
         C U[i] + sum_{i > j} gamma_i C^T U[i]`` (nodes counted from 1).
         """
         return _cell_sums(self._left, self._right, np.asarray(gamma, dtype=float))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """``G[j, i] = U[j] . C U[i]`` for ``x_i <= x_j``, with ``C^T`` above."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = self._kernel_rows(self.U, self.points.values)
-        if not np.all(np.isfinite(out)):
-            i, j = np.argwhere(~np.isfinite(out))[0]
-            raise NumericError(f"non-finite Gram entry at ({int(i) + 1}, {int(j) + 1})")
-        out.setflags(write=False)
-        return out
 
     def psibar_values(self, x, order: int = 0) -> np.ndarray:
         """Values of the orthonormalized functions at ``x``: ``L^{-1} psi(x)``.

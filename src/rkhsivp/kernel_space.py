@@ -49,6 +49,8 @@ for _j in range(6):
         _FALL[_m, _j] = _FALL[_m - 1, _j] * (_j - _m + 1)
 
 _POWERS = np.arange(6)
+# Absolute tolerance of the quadrature in w23_inner_product.
+_QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,17 +116,12 @@ class W23Kernel:
     interval: Interval
     C: ClassVar[np.ndarray] = _closed_form_matrix()
 
-    def coefficients(self, x: float) -> np.ndarray:
-        """Coefficients ``[left (y <= x), right (y > x)]`` of the section at ``x``.
-
-        Each block of six multiplies the powers ``(y - a)^0 .. (y - a)^5``.
-        """
-        return self.coefficient_derivatives(x)[0]
-
     def coefficient_derivatives(self, x: float) -> np.ndarray:
-        """Coefficients and their first three x-derivatives, shape (4, 12).
+        """Section coefficients ``c = [left (y <= x), right (y > x)]`` and their
+        first three x-derivatives, shape (4, 12).
 
-        Row ``r`` holds ``d^r c / dx^r``.  The result is a fresh read-only
+        Row ``r`` holds ``d^r c / dx^r``; each block of six multiplies the
+        powers ``(y - a)^0 .. (y - a)^5``.  The result is a fresh read-only
         array, bit-identical across calls with the same ``x``.
         """
         self.interval.require(x, "base point")
@@ -198,7 +195,6 @@ def w23_inner_product(
     u: Callable[[float, int], float],
     v: Callable[[float, int], float],
     interval: Interval,
-    tol: float = 1e-12,
     breakpoints: Iterable[float] = (),
 ) -> float:
     """Inner product of the third-order space, by adaptive quadrature.
@@ -228,12 +224,12 @@ def w23_inner_product(
                 a,
                 T,
                 points=pts or None,
-                epsabs=tol,
+                epsabs=_QUAD_TOL,
                 epsrel=1e-11,
                 limit=200,
             )
         except IntegrationWarning as exc:
             raise ToleranceError(
-                f"inner-product quadrature did not reach tolerance {tol}: {exc}"
+                f"inner-product quadrature did not reach tolerance {_QUAD_TOL}: {exc}"
             ) from exc
     return head + tail

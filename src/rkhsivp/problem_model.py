@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, ExpressionDomainError
 from .kernel_space import Interval
 from .rhs_expr import Expr, derivative, evaluate, parse
 
@@ -28,7 +28,6 @@ __all__ = [
     "ExactnessReport",
     "ode_residual",
     "verify_exact",
-    "builtin_examples",
     "builtin",
 ]
 
@@ -112,19 +111,28 @@ def verify_exact(problem: ProblemSpec) -> ExactnessReport:
     """Check the claimed exact solution against the ODE and the initial data.
 
     :func:`ode_residual` is sampled at ``a + j (T - a) / 25``, ``j = 1..24``;
-    a NaN residual fails the check.
+    a NaN residual fails the check.  A domain error of ``u``, ``u'`` or
+    ``u''`` names the function and its ``x``.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to verify")
     ex = problem.exact
     a, T = problem.interval.a, problem.interval.T
+
+    def at(x: float, f: Callable[[float], float], name: str) -> float:
+        try:
+            return f(x)
+        except ExpressionDomainError as exc:
+            raise DomainError(f"exact solution {name} at x={x}: {exc}") from exc
+
     xs = [a + (j / 25) * (T - a) for j in range(1, 25)]
-    d2u, du, u = zip(*((ex.d2u(x), ex.du(x), ex.u(x)) for x in xs))
+    d2u, du, u = zip(*((at(x, ex.d2u, "u''"), at(x, ex.du, "u'"), at(x, ex.u, "u"))
+                       for x in xs))
     residual = ode_residual(problem, xs, u, du, d2u)
     return ExactnessReport(
         max_residual=float(np.max(residual)),
-        ic_value_error=abs(ex.u(a) - problem.alpha),
-        ic_slope_error=abs(ex.du(a) - problem.beta),
+        ic_value_error=abs(at(a, ex.u, "u") - problem.alpha),
+        ic_slope_error=abs(at(a, ex.du, "u'") - problem.beta),
     )
 
 
@@ -175,11 +183,6 @@ def _example_3() -> ProblemSpec:
 
 
 _BUILTINS = {"ex1": _example_1, "ex2": _example_2, "ex3": _example_3}
-
-
-def builtin_examples() -> list[ProblemSpec]:
-    """The three bundled benchmark problems."""
-    return [make() for make in _BUILTINS.values()]
 
 
 def builtin(name: str) -> ProblemSpec:

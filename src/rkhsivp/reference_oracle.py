@@ -12,12 +12,13 @@ The free fourth-order dense output of each step is the trajectory: ``u`` and
 ``u'`` at any point are that step's quartic, with no resampling.
 
 The only subtlety is the coefficient ``k/x`` at a left endpoint ``a = 0``:
-there a regular solution needs ``u'(a) = 0`` and the limit ``(k/x) u' -> k
-u''(a)`` turns the equation into ``u''(a) = F(a, alpha) / (1 + k)``, which is
-what the right-hand side returns inside a small radius of the endpoint.  For
-``a > 0`` the equation is not singular anywhere on the domain and no
-regularization is applied.  For ``a < 0 <= T`` and ``k != 0`` the pole lies
-on the path of integration, and the oracle refuses the problem.
+there, for ``k != 0``, a regular solution needs ``u'(a) = 0`` and the limit
+``(k/x) u' -> k u''(a)`` turns the equation into ``u''(a) = F(a, alpha) / (1 +
+k)``, which is what the right-hand side returns inside a small radius of the
+endpoint.  For ``a > 0`` or ``k = 0`` the equation is not singular anywhere on
+the domain and no regularization is applied.  For ``a < 0 <= T`` and ``k !=
+0`` the pole lies on the path of integration, and the oracle refuses the
+problem.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ SINGULAR_RADIUS = 1e-8
 def regularized_rhs(problem: ProblemSpec, x: float, u: float, up: float) -> float:
     """Value of ``u''`` at state ``(x, u, u')``, finite at a singular endpoint."""
     a, k = problem.interval.a, problem.k
+    if k == 0.0:  # no pole, so x = 0 (at a, or inside [a, T] when a < 0) is ordinary
+        return problem.rhs(x, u)
     if a == 0.0 and x <= a + SINGULAR_RADIUS:
         if problem.beta != 0.0:
             raise SingularityError(
@@ -46,8 +49,6 @@ def regularized_rhs(problem: ProblemSpec, x: float, u: float, up: float) -> floa
                 f"got beta = {problem.beta}"
             )
         return problem.rhs(x, u) / (1.0 + k)
-    if k == 0.0:  # no pole, so x = 0 (inside the interval when a < 0 < T) is ordinary
-        return problem.rhs(x, u)
     return problem.rhs(x, u) - (k / x) * up
 
 
@@ -121,14 +122,14 @@ _P = np.array([
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5
 _MIN_RTOL = 100 * np.finfo(float).eps
+_MAX_STEPS = 100_000
 
 
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size**0.5
 
 
-def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float,
-                    max_steps: int):
+def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float):
     """Adaptive steps of the pair from ``t`` to ``t_bound > t``.
 
     Returns the step ends ``ts``, the states ``ys`` there and the stacked
@@ -158,10 +159,10 @@ def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float,
     K = np.empty((7, y.size))
     ts, ys, Q = [t], [y], []
     while t < t_bound:
-        if len(Q) == max_steps:
+        if len(Q) == _MAX_STEPS:
             raise NumericError(
-                f"reference integration needs more than {max_steps} steps "
-                f"(budget {max_steps})"
+                f"reference integration needs more than {_MAX_STEPS} steps "
+                f"(budget {_MAX_STEPS})"
             )
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -195,26 +196,19 @@ def _dormand_prince(fun, t: float, y: np.ndarray, t_bound: float, tol: float,
     return np.array(ts), np.array(ys), np.array(Q)
 
 
-def integrate(
-    problem: ProblemSpec,
-    tol: float = 1e-10,
-    max_steps: int = 100_000,
-) -> OracleTrajectory:
+def integrate(problem: ProblemSpec, tol: float = 1e-10) -> OracleTrajectory:
     """Integrate ``problem`` over its interval with local error bound ``tol``.
 
     ``tol`` is both the absolute and the relative tolerance; a relative
     tolerance below ``100 eps`` is raised to that floor with a warning.  With
     ``a < 0 <= T`` and ``k != 0`` the pole ``x = 0`` of ``k/x`` lies on the
-    path, and a ``SingularityError`` is raised before any step.
+    path, and a ``SingularityError`` is raised before any step; with ``a =
+    0``, ``k != 0`` and ``beta != 0`` :func:`regularized_rhs` raises it at
+    its first call.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     a, T = problem.interval.a, problem.interval.T
-    if a == 0.0 and problem.beta != 0.0:
-        raise SingularityError(
-            "a = 0 requires u'(a) = 0 for a regular solution; "
-            f"got beta = {problem.beta}"
-        )
     if a < 0.0 <= T and problem.k != 0.0:
         raise SingularityError(
             f"the reference oracle cannot integrate through x = 0 on [{a:g}, {T:g}], "
@@ -230,4 +224,4 @@ def integrate(
     y0 = np.array([problem.alpha, problem.beta])
     # A non-finite stage fails the error test and counts as a rejected step.
     with np.errstate(invalid="ignore", over="ignore"):
-        return OracleTrajectory(*_dormand_prince(rhs, a, y0, T, tol, max_steps))
+        return OracleTrajectory(*_dormand_prince(rhs, a, y0, T, tol))

@@ -48,6 +48,8 @@ _MATH = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
          "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt, "abs": abs}
 FUNCTIONS = tuple(_MATH)
 
+# Parsed trees are at most this high (each operator of a chain counts) and the
+# parser's rules nest at most this deep; evaluation recurses once per level.
 _MAX_DEPTH = 200
 
 
@@ -146,46 +148,59 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             self.fail("expression too deeply nested")
 
-    def expr(self) -> Expr:
+    def _grow(self, height: int, tok: _Token) -> int:
+        """The height of a node over a subtree of ``height``, at most ``_MAX_DEPTH``."""
+        if height >= _MAX_DEPTH:
+            self.fail("expression too deeply nested", tok)
+        return height + 1
+
+    # Each rule returns its tree and the tree's height, a leaf counting 1.
+    def _chain(self, operand, ops: str) -> tuple[Expr, int]:
+        """``operand (op operand)*`` for the operators in ``ops``, left-associative."""
+        node, height = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            tok = self.advance()
+            right, rh = operand()
+            node, height = BinOp(tok.text, node, right), self._grow(max(height, rh), tok)
+        return node, height
+
+    def expr(self) -> tuple[Expr, int]:
         self._enter()
         try:
-            node = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.advance().text
-                node = BinOp(op, node, self.term())
-            return node
+            return self._chain(self.term, "+-")
         finally:
             self.depth -= 1
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+    def term(self) -> tuple[Expr, int]:
+        return self._chain(self.factor, "*/")
 
-    def factor(self) -> Expr:
-        node = self.unary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
+    def factor(self) -> tuple[Expr, int]:
+        """``unary ('^' unary)*``, folded from the right, without recursion."""
+        operands, carets = [self.unary()], []
+        while self.peek().kind == "op" and self.peek().text == "^":
+            carets.append(self.advance())
+            operands.append(self.unary())
+        node, height = operands.pop()
+        for tok, (left, lh) in zip(reversed(carets), reversed(operands)):
+            node, height = BinOp("^", left, node), self._grow(max(lh, height), tok)
+        return node, height
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple[Expr, int]:
         self._enter()
         try:
             if self.peek().kind == "op" and self.peek().text == "-":
-                self.advance()
-                return Neg(self.unary())
+                tok = self.advance()
+                node, height = self.unary()
+                return Neg(node), self._grow(height, tok)
             return self.atom()
         finally:
             self.depth -= 1
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "ident":
             self.advance()
             follows_paren = self.peek().kind == "op" and self.peek().text == "("
@@ -193,19 +208,19 @@ class _Parser:
                 if not follows_paren:
                     self.fail(f"function {tok.text!r} requires an argument list", tok)
                 self.advance()
-                arg = self.expr()
+                arg, height = self.expr()
                 self.expect_close(tok)
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), self._grow(height, tok)
             if tok.text in VARIABLES or tok.text in CONSTANTS:
                 if follows_paren:
                     self.fail(f"{tok.text!r} is not a function", tok)
-                return Name(tok.text)
+                return Name(tok.text), 1
             self.fail(f"unknown identifier {tok.text!r}", tok)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            group = self.expr()
             self.expect_close(tok)
-            return node
+            return group
         if tok.kind == "end":
             self.fail("unexpected end of expression", tok)
         self.fail(f"unexpected token {tok.text!r}", tok)
@@ -222,7 +237,7 @@ def parse(text: str) -> Expr:
     parser = _Parser(text)
     if parser.peek().kind == "end":
         raise ExpressionSyntaxError("empty expression", 0)
-    node = parser.expr()
+    node, _ = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)

@@ -268,8 +268,6 @@ def solve_problem(
     tol: float = 1e-10,
 ) -> RkhsSolution:
     """Build kernel, nodes and basis for ``problem`` and solve it."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if method not in ("auto", "linear", "nonlinear"):
         raise ValueError(f"method must be auto, linear or nonlinear, got {method!r}")
     kernel = build_w23_kernel(problem.interval)

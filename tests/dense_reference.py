@@ -7,6 +7,13 @@ dense linear algebra.
 
 import numpy as np
 
+from rkhsivp import gram_matrix
+
+
+def dense_gram(basis):
+    """``G[i, j] = <psi_i, psi_j>`` by :func:`gram_matrix` at the basis's nodes."""
+    return gram_matrix(basis.kernel, basis.k, basis.points)
+
 
 def node_psi_matrix(basis):
     """``Psi[j, i] = psi_i(x_j)``."""
@@ -25,4 +32,4 @@ def collocation_matrix(basis, q):
 
 def cholesky_factor(basis):
     """``L`` with ``G = L L^T``, by ``np.linalg.cholesky`` of the dense Gram matrix."""
-    return np.linalg.cholesky(basis.gram)
+    return np.linalg.cholesky(dense_gram(basis))

@@ -1,10 +1,13 @@
 """Command line behavior: tables, formats, config files, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +22,8 @@ from rkhsivp.cli import (
     KERNEL_COLUMNS,
     ORACLE_COLUMNS,
     REPORT_GRID,
+    _EXIT_CODES,
+    build_parser,
     load_problem_config,
     main,
 )
@@ -166,7 +171,7 @@ class TestSolveConfig:
         code, out, err = run(capsys, "solve", "--config", path)
         assert code == 5
         assert out == ""
-        assert err == "error: division by zero in 'x/abs(x)'\n"
+        assert err == "error: exact solution u' at x=0.0: division by zero in 'x/abs(x)'\n"
 
     def test_nonaffine_rhs_not_linear(self, tmp_path):
         path = write_config(tmp_path, rhs="u^2 - x", exact=None)
@@ -248,6 +253,18 @@ class TestSolveConfig:
         assert "config key 'rhs'" in err
         assert "(at offset 3)" in err
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("rhs", "+".join(["x"] * 1000)), ("exact", "*".join(["x"] * 400))],
+        ids=["rhs-sum", "exact-product"],
+    )
+    def test_too_deep_expression(self, capsys, tmp_path, key, text):
+        # The parser bounds the height of the tree it builds, chains included.
+        code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, **{key: text}))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: config key {key!r}: expression too deeply nested (at offset 399)\n"
+
     def test_syntax_offset_preserved(self, tmp_path):
         path = write_config(tmp_path, rhs="x +")
         with pytest.raises(ExpressionSyntaxError) as info:
@@ -281,8 +298,10 @@ class TestSolveConfig:
 
     def test_bad_interval(self, capsys, tmp_path):
         path = write_config(tmp_path, a=1.0, T=1.0)
-        code, _, err = run(capsys, "solve", "--config", path)
+        code, out, err = run(capsys, "solve", "--config", path)
         assert code == 2
+        assert out == ""
+        assert err == "error: interval requires a < T, got [1.0, 1.0]\n"
 
 
 class TestSweepCap:
@@ -626,6 +645,39 @@ class TestConverge:
         assert "bad n value 'x'" in err
 
 
+class TestSlopeAtOrigin:
+    """a = 0 with beta != 0: regular when k = 0, refused by the oracle otherwise."""
+
+    def config(self, tmp_path, k, rhs):
+        return write_config(tmp_path, name="tilted", k=k, alpha=0, beta=1, rhs=rhs,
+                            exact=None)
+
+    def test_line_without_pole(self, capsys, tmp_path):
+        # u = x solves u'' = 0 with u(0) = 0, u'(0) = 1.
+        code, out, err = run(capsys, "solve", "--config", self.config(tmp_path, 0, "0"))
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        assert header == ORACLE_COLUMNS
+        for x, approx, ref, deviation in (map(float, r) for r in rows):
+            assert abs(approx - x) <= 1e-15 and abs(ref - x) <= 1e-15
+            assert deviation <= 1e-15
+
+    def test_sinh_without_pole_converges_at_second_order(self, capsys, tmp_path):
+        # u = sinh x solves u'' = u with u(0) = 0, u'(0) = 1.
+        code, out, err = run(capsys, "converge", "--config", self.config(tmp_path, 0, "u"),
+                             "--n-list", "25,50,100")
+        assert code == 0, err
+        assert "warning" not in err
+        errors = [float(r[1]) for r in parse_csv(out)[1]]
+        assert all(3.5 < coarse / fine < 4.5 for coarse, fine in zip(errors, errors[1:]))
+
+    def test_pole_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--config", self.config(tmp_path, 2, "0"))
+        assert code == 5
+        assert out == ""
+        assert err == "error: a = 0 requires u'(a) = 0 for a regular solution; got beta = 1.0\n"
+
+
 class TestKernelDump:
     def test_pinned_section_values(self, capsys):
         code, out, _ = run(
@@ -665,5 +717,48 @@ class TestKernelDump:
         assert "resolution" in err
 
     def test_degenerate_interval(self, capsys):
-        code, _, _ = run(capsys, "kernel-dump", "--a", "1", "--T", "1", "--x", "1")
+        code, out, err = run(capsys, "kernel-dump", "--a", "1", "--T", "1", "--x", "1")
         assert code == 2
+        assert out == ""
+        assert err == "error: interval requires a < T, got [1.0, 1.0]\n"
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [("2", "interval requires a < T, got [2.0, 1.0]"),
+         ("nan", "interval endpoints must be finite")],
+        ids=["reversed", "nan"],
+    )
+    def test_invalid_interval(self, capsys, a, message):
+        code, out, err = run(capsys, "kernel-dump", "--a", a, "--T", "1", "--x", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(title):
+    """The text under ``### title`` up to the next heading."""
+    match = re.search(rf"^### {title}\n(.*?)(?=^#)", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+    assert match is not None, title
+    return match.group(1)
+
+
+def test_readme_lists_exactly_the_exit_codes():
+    rows = re.findall(r"^\| (\d+) \|", readme_section("Exit codes"), re.M)
+    assert sorted(map(int, rows)) == sorted({0, *_EXIT_CODES.values()})
+
+
+def test_readme_documents_every_option():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert sorted(commands) == ["converge", "kernel-dump", "solve"]
+    for name, parser in commands.items():
+        section = readme_section(name)
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert re.search(rf"{re.escape(option)}(?![\w-])", section), (name, option)

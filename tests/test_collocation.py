@@ -25,7 +25,7 @@ from rkhsivp import (
     uniform_points,
     w23_inner_product,
 )
-from dense_reference import cholesky_factor, collocation_matrix, node_psi_matrix
+from dense_reference import cholesky_factor, collocation_matrix, dense_gram, node_psi_matrix
 from rkhsivp.collocation import PointSet
 
 
@@ -144,7 +144,7 @@ class TestPsiEval:
         with pytest.raises(SingularityError, match="collocation node 20 is x = 0"):
             build_basis(kernel, 2.0, pts)
         # Without the singular coefficient the node is an ordinary one.
-        gram = build_basis(kernel, 0.0, pts).gram
+        gram = gram_matrix(kernel, 0.0, pts)
         assert np.all(np.isfinite(gram))
 
     def test_reduces_to_second_derivative_for_k_zero(self, kernel01):
@@ -169,7 +169,7 @@ class TestGramMatrix:
         k = 2.0
         pts = uniform_points(unit_interval, 5)
         basis = build_basis(kernel01, k, pts)
-        gram = basis.gram
+        gram = gram_matrix(kernel01, k, pts)
         nodes = tuple(float(x) for x in pts.values)
 
         def psi(i):
@@ -239,12 +239,12 @@ class TestOrthonormalize:
             orthonormalize(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_lower_triangular_positive_diagonal(self, basis100):
-        beta = orthonormalize(basis100.gram)
+        beta = orthonormalize(dense_gram(basis100))
         assert np.allclose(beta, np.tril(beta))
         assert np.all(np.diag(beta) > 0.0)
 
     def test_whitens_gram(self, basis100):
-        n, gram = basis100.n, basis100.gram
+        n, gram = basis100.n, dense_gram(basis100)
         beta = orthonormalize(gram)
         err = np.max(np.abs(beta @ gram @ beta.T - np.eye(n)))
         assert err <= 1e-8
@@ -306,9 +306,11 @@ class TestCollocationMatrix:
 class TestCollocationBasis:
     def test_shapes_and_immutability(self, basis100):
         n = basis100.n
-        assert basis100.gram.shape == (n, n)
-        with pytest.raises(ValueError):
-            basis100.gram[0, 0] = 0.0
+        assert dense_gram(basis100).shape == (n, n)
+        for generator in (basis100.U, basis100.M):
+            assert generator.shape == (n, 6)
+            with pytest.raises(ValueError):
+                generator[0, 0] = 0.0
         for x in (0.5, np.array([0.1, 0.5, 1.0]), np.array([[0.1, 0.2], [0.3, 0.4]])):
             assert basis100.psibar_values(x).shape == np.shape(x) + (n,)
 
@@ -318,7 +320,7 @@ class TestCollocationBasis:
         xs = np.concatenate([np.linspace(0.0, 1.0, 37), [0.15, 0.6]])
         for n in (8, 65, 129):
             basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, n))
-            beta = orthonormalize(basis.gram)
+            beta = orthonormalize(dense_gram(basis))
             for x in (0.15, 0.6, 1.0):
                 direct = beta @ basis.psi_values(x)
                 assert np.allclose(basis.psibar_values(x), direct, atol=1e-13)

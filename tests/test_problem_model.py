@@ -7,11 +7,11 @@ import pytest
 
 from rkhsivp import (
     ConfigError,
+    DomainError,
     ExactSolution,
     Interval,
     ProblemSpec,
     builtin,
-    builtin_examples,
     verify_exact,
 )
 from rkhsivp import problem_model
@@ -36,7 +36,7 @@ def parabola(k, a, T, rhs):
 
 class TestBuiltins:
     def test_roster(self):
-        examples = builtin_examples()
+        examples = [builtin(name) for name in ("ex1", "ex2", "ex3")]
         assert [p.name for p in examples] == ["ex1", "ex2", "ex3"]
         assert [p.k for p in examples] == [2.0, 2.0, 8.0]
         assert all(p.interval == Interval(0.0, 1.0) for p in examples)
@@ -75,8 +75,8 @@ class TestBuiltins:
 
 class TestVerifyExact:
     def test_builtins_pass(self):
-        for problem in builtin_examples():
-            report = verify_exact(problem)
+        for name in ("ex1", "ex2", "ex3"):
+            report = verify_exact(builtin(name))
             assert report.ok
             assert report.max_residual <= 1e-8
             assert report.ic_value_error == 0.0
@@ -136,6 +136,20 @@ class TestVerifyExact:
         )
         assert math.isnan(report.max_residual)
         assert not report.ok
+
+
+    @pytest.mark.parametrize(
+        "a, T, name", [(0.0, 1.0, "u'"), (-1.0, 4.0, "u''")], ids=["slope-at-a", "sample"],
+    )
+    def test_domain_error_names_function_and_x(self, a, T, name):
+        # u = |x|^3: u' and u'' divide by |x|, at a = 0 and at the sample x = 0 of [-1, 4].
+        problem = ProblemSpec(
+            name="cube", k=2.0, interval=Interval(a, T), alpha=abs(a) ** 3, beta=-3.0 * a * a,
+            rhs=lambda x, u: 12.0 * abs(x), exact=ExactSolution.from_expression(parse("abs(x)^3")),
+        )
+        with pytest.raises(DomainError) as err:
+            verify_exact(problem)
+        assert str(err.value) == f"exact solution {name} at x=0.0: division by zero in 'x/abs(x)'"
 
 
 class TestOdeResidual:

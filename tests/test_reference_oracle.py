@@ -18,6 +18,7 @@ from rkhsivp import (
     integrate,
     regularized_rhs,
 )
+from rkhsivp import reference_oracle
 
 
 class TestRegularizedRhs:
@@ -49,6 +50,14 @@ class TestRegularizedRhs:
         )
         with pytest.raises(SingularityError):
             regularized_rhs(tilted, 0.0, 0.0, 1.0)
+
+    def test_no_slope_rule_without_pole(self):
+        # k = 0: the equation u'' = F has no pole at a = 0, so any slope is regular.
+        line = ProblemSpec(
+            name="line", k=0.0, interval=Interval(0.0, 1.0), alpha=0.0, beta=1.0,
+            rhs=lambda x, u: 3.0 + u,
+        )
+        assert regularized_rhs(line, 0.0, 0.5, 1.0) == 3.5
 
     def test_no_regularization_for_positive_left_endpoint(self):
         problem = ProblemSpec(
@@ -99,6 +108,20 @@ class TestIntegrationAccuracy:
         grid = np.linspace(1.0, 2.0, 201)
         worst = max(abs(traj.u(float(x)) - math.log(x)) for x in grid)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize(
+        "rhs, exact, tol",
+        [(lambda x, u: 0.0, lambda x: x, 1e-15), (lambda x, u: u, math.sinh, 2e-10)],
+        ids=["line", "sinh"],
+    )
+    def test_slope_at_origin_without_pole(self, rhs, exact, tol):
+        # k = 0, a = 0, beta = 1: u'' = F has no pole, and u = x or sinh x.
+        problem = ProblemSpec(
+            name="k0", k=0.0, interval=Interval(0.0, 1.0), alpha=0.0, beta=1.0, rhs=rhs,
+        )
+        traj = integrate(problem)
+        grid = np.linspace(0.0, 1.0, 201)
+        assert max(abs(traj.u(float(x)) - exact(x)) for x in grid) <= tol
 
     def test_self_convergence(self, ex2):
         # Tightening the tolerance must not move the answer by more than the
@@ -153,21 +176,29 @@ class TestValidation:
             with pytest.raises(NumericError, match="step size below"):
                 integrate(blowup)
 
-    def test_step_budget(self, ex1):
-        with pytest.raises(NumericError, match="budget"):
-            integrate(ex1, max_steps=3)
+    def test_step_budget(self, ex1, monkeypatch):
+        monkeypatch.setattr(reference_oracle, "_MAX_STEPS", 3)
+        with pytest.raises(NumericError) as err:
+            integrate(ex1)
+        assert str(err.value) == "reference integration needs more than 3 steps (budget 3)"
 
     def test_singular_slope_rejected_up_front(self, ex1):
+        def never(x, u):
+            raise AssertionError(f"F called at x={x}")
+
         tilted = ProblemSpec(
             name="tilted",
             k=ex1.k,
             interval=ex1.interval,
             alpha=0.0,
             beta=1.0,
-            rhs=ex1.rhs,
+            rhs=never,
         )
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError) as err:
             integrate(tilted)
+        assert str(err.value) == (
+            "a = 0 requires u'(a) = 0 for a regular solution; got beta = 1.0"
+        )
 
 
 def parabola_across_origin(k, T):

@@ -11,7 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkhsivp.errors import ExpressionDomainError, ExpressionSyntaxError
+from rkhsivp.problem_model import ExactSolution
 from rkhsivp.rhs_expr import (
+    _MAX_DEPTH,
     FUNCTIONS,
     BinOp,
     Call,
@@ -197,6 +199,21 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError) as err:
             parse(text)
         assert "nested" in str(err.value)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+    def test_depth_guard_counts_chained_operators(self, op):
+        # A chain of m terms is a tree of height m; evaluation recurses that deep.
+        assert math.isfinite(ev(("x" + op) * (_MAX_DEPTH - 1) + "x", x=1.0))
+        for terms in (_MAX_DEPTH + 1, 1000):
+            with pytest.raises(ExpressionSyntaxError, match="expression too deeply nested"):
+                parse(("x" + op) * (terms - 1) + "x")
+
+    def test_deepest_division_chain_has_second_derivative(self):
+        # u = x/x/.../x = x^(2 - m) at the height limit m; its u'' is about 3m deep.
+        m = _MAX_DEPTH
+        exact = ExactSolution.from_expression(parse("x" + "/x" * (m - 1)))
+        assert exact.u(1.0) == 1.0
+        assert exact.d2u(1.0) == (2 - m) * (1 - m)
 
     @pytest.mark.parametrize(
         "text,x,u,sub",
