@@ -18,14 +18,17 @@ with coefficients from prefix and suffix sums of ``gamma_i C U[i]`` and
 and no finite differences enter; the quadrature inner product exists only as
 an independent oracle in the tests.
 
-So off its diagonal every such matrix is a 6-wide product of generators: it
-is quasiseparable of rank 6, and each solve factors it from them in O(n)
+So off its diagonal every such matrix is a product of generators as wide as
+``C``: it is quasiseparable of that rank, and each solve factors it in O(n)
 time and memory.  The linear path's ``K`` is a block LU
 (:meth:`CollocationBasis.solve_collocation`); the nonlinear path works in the
 orthonormal system ``psibar = L^{-1} psi`` (the classical Gram-Schmidt
 recurrence, but stable) with ``G = L L^T`` factored blockwise
-(:class:`GramFactor`).  That one factor also gives the values of ``psibar``
-(:meth:`CollocationBasis.psibar_values`) by forward substitution.  Only the
+(:class:`GramFactor`).  Its first sweep is a forward substitution with ``L``
+that asks the solver for each row's right-hand side at the partial sum so
+far (:meth:`CollocationBasis.forward_sweep`).  The same factor gives the
+values and coefficients of ``psibar`` (:meth:`CollocationBasis.psibar_values`,
+:meth:`CollocationBasis.psibar_coefficients`).  Only the
 check API, :func:`gram_matrix` and :func:`orthonormalize`, returns dense
 n x n arrays.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -192,7 +196,7 @@ class CollocationBasis:
         return self._kernel_rows(quintic_derivative_weights(x - interval.a, order), x)
 
     def cell_coefficients(self, gamma: np.ndarray) -> np.ndarray:
-        """Coefficients of ``sum_i gamma_i psi_i`` on each cell, shape ``(n + 1, 6)``.
+        """Coefficients of ``sum_i gamma_i psi_i`` on each cell, shape ``(n + 1, len(C))``.
 
         Between adjacent nodes the sum is one quintic in ``x - a``.  Row ``j``
         holds it on the cell after node ``j``: ``x_j <= x < x_{j+1}``, with
@@ -200,7 +204,15 @@ class CollocationBasis:
         use ``C`` and the rest ``C^T``, so row ``j`` is ``sum_{i <= j} gamma_i
         C U[i] + sum_{i > j} gamma_i C^T U[i]`` (nodes counted from 1).
         """
-        return _cell_sums(self._left, self._right, np.asarray(gamma, dtype=float))
+        gamma = np.asarray(gamma, dtype=float)
+        out = np.zeros((len(self._left), len(gamma) + 1))
+        np.cumsum(self._left * gamma, axis=1, out=out[:, 1:])
+        out[:, :-1] += np.cumsum((self._right * gamma)[:, ::-1], axis=1)[:, ::-1]
+        return out.T
+
+    def _product(self, P: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``K x`` for ``K[i, j] = P[i] . C U[j]`` (``j <= i``), ``P[i] . C^T U[j]`` (``j > i``)."""
+        return np.einsum("ip,ip->i", P, self.cell_coefficients(x)[1:])
 
     def psibar_values(self, x, order: int = 0) -> np.ndarray:
         """Values of the orthonormalized functions at ``x``: ``L^{-1} psi(x)``.
@@ -216,16 +228,45 @@ class CollocationBasis:
         """``G = L L^T`` from the generators, in O(n) time and memory."""
         return GramFactor(self.U, self.kernel.C)
 
+    def psibar_coefficients(self, gamma: np.ndarray) -> np.ndarray:
+        """``A = L^{-1} (G gamma)``: ``sum_i gamma_i psi_i = sum_i A_i psibar_i``, in O(n)."""
+        return self.gram_factor.forward(self._product(self.U, gamma))
+
+    def forward_sweep(self, s: np.ndarray, f: Callable[[int, float], float]) -> np.ndarray:
+        """``A`` with ``L A = (f(l, u_l))_l``, where ``u_l = s_l + sum_{i < l} A_i psibar_i(x_l)``.
+
+        Row ``l`` needs ``f`` at the partial sum of the rows before it.  For
+        ``i < l``, ``psibar_i(x_l) = M[l] . W[:, i]`` and ``L[l, i] = U[l] .
+        W[:, i]``, so ``t = sum_i A_i W[:, i]`` over the blocks done carries
+        both the partial sums and the substitution terms into a block; ``acc``
+        gathers them within it, each sum starting from ``s_l``.
+        """
+        factor = self.gram_factor
+        A, t = np.empty(self.n), np.zeros(len(factor.W))
+        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+            for J, LJ in zip(factor.blocks, factor.diag):
+                W, b = factor.W[:, J], len(LJ)
+                acc = np.concatenate([self.M[J] @ t + s[J], self.U[J] @ t])
+                shares = np.hstack([np.tril(self.M[J] @ W, -1).T, np.tril(LJ, -1).T])
+                d = np.diag(LJ)
+                for i, l in enumerate(range(J.start, J.stop)):
+                    A[l] = a = (f(l, acc[i]) - acc[b + i]) / d[i]
+                    acc += a * shares[i]  # node l's part of the later nodes' sums and terms
+                t += W @ A[J]
+        if not np.all(np.isfinite(A)):
+            raise NumericError("forward sweep produced non-finite coefficients")
+        return A
+
     def node_values(self, gamma: np.ndarray) -> np.ndarray:
         """``Psi gamma``, the values of ``sum_i gamma_i psi_i`` at the nodes, in O(n)."""
-        return _quasiseparable_product(self.M, self._left, self._right, gamma)
+        return self._product(self.M, gamma)
 
     def solve_collocation(self, q: np.ndarray, g: np.ndarray) -> np.ndarray:
         """``gamma`` with ``(G - diag(q) Psi) gamma = g``, without forming the matrix.
 
         With ``P = U - diag(q) M`` the matrix ``K`` has ``K[i, j] = P[i] . C
         U[j]`` for ``j <= i`` and ``P[i] . C^T U[j]`` for ``j > i``: it is
-        quasiseparable of rank 6, and :func:`_block_lu_solve` factors it in
+        quasiseparable of rank ``len(C)``, and :meth:`_block_lu_solve` factors it in
         O(n) time and memory.  That factor pivots only within its blocks, so
         the backward error ``|g - K gamma| / (max|K_ii| |gamma|)`` is measured
         with the same generators; above ``_REFINED`` it is brought down by up
@@ -236,17 +277,16 @@ class CollocationBasis:
         """
         g = np.asarray(g, dtype=float)
         P = self.U - np.asarray(q, dtype=float)[:, None] * self.M
-        Qt, Rt = self._left, self._right
         # Overflow (such as an infinite k) shows as a non-finite block.
         with np.errstate(invalid="ignore", over="ignore"):
-            scale = np.max(np.abs(np.einsum("ip,pi->i", P, Qt)))  # max |K_ii|
-            gamma = _block_lu_solve(P, Qt, Rt, g)
+            scale = np.max(np.abs(np.einsum("ip,pi->i", P, self._left)))  # max |K_ii|
+            gamma = self._block_lu_solve(P, g)
             for _ in range(_REFINE_STEPS):
-                residual = g - _quasiseparable_product(P, Qt, Rt, gamma)
+                residual = g - self._product(P, gamma)
                 if np.max(np.abs(residual)) <= _REFINED * scale * np.max(np.abs(gamma)):
                     return gamma
-                gamma = gamma + _block_lu_solve(P, Qt, Rt, residual)
-            residual = np.abs(g - _quasiseparable_product(P, Qt, Rt, gamma))
+                gamma = gamma + self._block_lu_solve(P, residual)
+            residual = np.abs(g - self._product(P, gamma))
         error = np.max(residual) / (scale * np.max(np.abs(gamma)))
         if not error <= _SINGULAR:
             raise NumericError(
@@ -256,73 +296,57 @@ class CollocationBasis:
             )
         return gamma
 
+    def _block_lu_solve(self, P: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``x`` with ``K x = g``, ``K`` as in :meth:`_product`.
 
-def _cell_sums(Qt: np.ndarray, Rt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows ``j = 0..n``: ``sum_{i <= j} x_i Qt[:, i] + sum_{i > j} x_i Rt[:, i]``, i from 1."""
-    out = np.zeros((6, len(x) + 1))
-    np.cumsum(Qt * x, axis=1, out=out[:, 1:])
-    out[:, :-1] += np.cumsum((Rt * x)[:, ::-1], axis=1)[:, ::-1]
-    return out.T
-
-
-def _quasiseparable_product(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
-                            x: np.ndarray) -> np.ndarray:
-    """``K x`` for ``K[i, j] = P[i] . Qt[:, j]`` (``j <= i``), ``P[i] . Rt[:, j]`` (``j > i``)."""
-    return np.einsum("ip,ip->i", P, _cell_sums(Qt, Rt, x)[1:])
-
-
-def _block_lu_solve(P: np.ndarray, Qt: np.ndarray, Rt: np.ndarray,
-                    g: np.ndarray) -> np.ndarray:
-    """``x`` with ``K x = g``, ``K`` as in :func:`_quasiseparable_product`.
-
-    A block LU over :func:`_blocks` whose off-diagonal blocks are kept as
-    one 6x6 state ``S``.  Block ``J`` forms only its diagonal block ``D_J =
-    K_JJ - P_J S R_J^T``, with ``R_J^T = Rt[:, J]`` and ``Q_J^T = Qt[:, J]``,
-    and solves it, pivoting within the block, for ``y_J = g_J - P_J z`` and
-    ``E_J = P_J (I - S)`` at once.  With ``X_J^T = Q_J^T - S
-    R_J^T`` the forward pass moves on by ``S += X_J^T D_J^{-1} E_J`` and ``z
-    += X_J^T D_J^{-1} y_J``; the backward pass is ``x_J = D_J^{-1} (y_J - E_J
-    w)``, ``w += R_J^T x_J``.
-    """
-    n, blocks = len(g), _blocks(len(g))
-    lower = np.tri(_BLOCK, dtype=bool)
-    S, z = np.zeros((6, 6)), np.zeros(6)
-    Y, F = np.empty(n), np.empty((n, 6))  # D_J^{-1} y_J and D_J^{-1} E_J
-    for J in blocks:
-        PJ, RJt = P[J], Rt[:, J]
-        Xt = Qt[:, J] - S @ RJt
-        E = PJ - PJ @ S
-        b = len(PJ)
-        D = np.where(lower[:b, :b], PJ @ Xt, E @ RJt)
-        try:
-            sol = np.linalg.solve(D, np.column_stack([g[J] - PJ @ z, E]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"collocation system is singular at {_nodes(J)}") from exc
-        _require_finite(sol, J)
-        Y[J], F[J] = sol[:, 0], sol[:, 1:]
-        S += Xt @ F[J]
-        z += Xt @ Y[J]
-    x, w = np.empty(n), np.zeros(6)
-    for J in reversed(blocks):
-        x[J] = Y[J] - F[J] @ w
-        _require_finite(x[J], J)
-        w += Rt[:, J] @ x[J]
-    return x
+        A block LU over :func:`_blocks` whose off-diagonal blocks are kept as
+        one square state ``S``.  Block ``J`` forms only its diagonal block ``D_J
+        = K_JJ - P_J S R_J^T``, with ``Q_J^T = (C U^T)[:, J]`` and ``R_J^T = (C^T
+        U^T)[:, J]``, and solves it, pivoting within the block, for ``y_J = g_J - P_J z`` and
+        ``E_J = P_J (I - S)`` at once.  With ``X_J^T = Q_J^T - S
+        R_J^T`` the forward pass moves on by ``S += X_J^T D_J^{-1} E_J`` and ``z
+        += X_J^T D_J^{-1} y_J``; the backward pass is ``x_J = D_J^{-1} (y_J - E_J
+        w)``, ``w += R_J^T x_J``.
+        """
+        n, blocks = len(g), _blocks(len(g))
+        lower = np.tri(_BLOCK, dtype=bool)
+        S, z = np.zeros_like(self.kernel.C), np.zeros(len(self._left))
+        Y, F = np.empty(n), np.empty((n, len(S)))  # D_J^{-1} y_J and D_J^{-1} E_J
+        for J in blocks:
+            PJ, RJt = P[J], self._right[:, J]
+            Xt = self._left[:, J] - S @ RJt
+            E = PJ - PJ @ S
+            b = len(PJ)
+            D = np.where(lower[:b, :b], PJ @ Xt, E @ RJt)
+            try:
+                sol = np.linalg.solve(D, np.column_stack([g[J] - PJ @ z, E]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"collocation system is singular at {_nodes(J)}") from exc
+            _require_finite(sol, J)
+            Y[J], F[J] = sol[:, 0], sol[:, 1:]
+            S += Xt @ F[J]
+            z += Xt @ Y[J]
+        x, w = np.empty(n), np.zeros(len(S))
+        for J in reversed(blocks):
+            x[J] = Y[J] - F[J] @ w
+            _require_finite(x[J], J)
+            w += self._right[:, J] @ x[J]
+        return x
 
 
 class GramFactor:
     """``G = L L^T`` from the generators, kept as blocks ``L_J`` and ``W``.
 
-    With ``W = C (L^{-1} U)^T`` (6 x n), ``L[r, i] = U[r] . W[:, i]`` for all
+    With ``W = C (L^{-1} U)^T`` (``len(C)`` x n), ``L[r, i] = U[r] . W[:, i]`` for all
     ``i < r``.  Block ``J`` of :func:`_blocks` factors ``G_JJ - U_J S U_J^T``,
     the lower triangle of ``U_J (C - S) U_J^T``, as ``L_J L_J^T``; then ``W_J
     = (C - S) U_J^T L_J^{-T}`` and ``S += W_J W_J^T``.  Substitutions carry
-    one 6-vector between blocks, O(n * _BLOCK) each.
+    one vector of ``len(C)`` between blocks, O(n * _BLOCK) each.
     """
 
     def __init__(self, U: np.ndarray, C: np.ndarray):
         self.U, self.blocks, self.diag = U, _blocks(len(U)), []
-        self.W, S = np.empty((6, len(U))), np.zeros((6, 6))
+        self.W, S = np.empty((len(C), len(U))), np.zeros_like(C)
         for J in self.blocks:
             CS = C - S
             with np.errstate(invalid="ignore", over="ignore"):  # checked just below
@@ -334,7 +358,7 @@ class GramFactor:
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """``y`` with ``L y = f``; ``f`` may hold one right-hand side per column."""
-        y, t = np.empty(f.shape), np.zeros((6,) + f.shape[1:])
+        y, t = np.empty(f.shape), np.zeros((len(self.W),) + f.shape[1:])
         for J, LJ in zip(self.blocks, self.diag):
             y[J] = np.linalg.solve(LJ, f[J] - self.U[J] @ t)
             t += self.W[:, J] @ y[J]
@@ -342,7 +366,7 @@ class GramFactor:
 
     def backward(self, y: np.ndarray) -> np.ndarray:
         """``x`` with ``L^T x = y``."""
-        x, w = np.empty(len(y)), np.zeros(6)
+        x, w = np.empty(len(y)), np.zeros(len(self.W))
         for J, LJ in zip(reversed(self.blocks), reversed(self.diag)):
             x[J] = np.linalg.solve(LJ.T, y[J] - w @ self.W[:, J])
             w += x[J] @ self.U[J]

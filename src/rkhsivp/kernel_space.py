@@ -42,11 +42,7 @@ __all__ = [
 
 # FALL[m][j] = j (j-1) ... (j-m+1), the falling factorial entering the m-th
 # derivative of y^j.
-_FALL = np.zeros((6, 6))
-for _j in range(6):
-    _FALL[0, _j] = 1.0
-    for _m in range(1, 6):
-        _FALL[_m, _j] = _FALL[_m - 1, _j] * (_j - _m + 1)
+_FALL = np.array([[math.perm(j, m) for j in range(6)] for m in range(6)], dtype=float)
 
 _POWERS = np.arange(6)
 # Absolute tolerance of the quadrature in w23_inner_product.

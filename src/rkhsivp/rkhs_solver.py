@@ -7,18 +7,16 @@ evaluation adds ``s`` back, so solutions satisfy the initial data at ``a`` to
 floating-point accuracy.
 
 The shifted unknown is ``v_n = sum_i gamma_i psi_i = sum_i A_i psibar_i``
-with ``A = L^T gamma``, where ``G = L L^T`` is the Cholesky factorization of
-the Gram matrix.  For an affine right-hand side ``g(x) + q(x) u``
-collocation is one solve of ``(G - diag(q) Psi) gamma = g + q s - (k/x)
-beta``, a block LU built from the basis generators.  Otherwise a single
-forward sweep computes ``A`` in node order by forward substitution with
-``L``, evaluating the right-hand side at the running partial sums; optional
-further sweeps re-feed the previous full solution until the nodal values
-settle.  ``L`` is factored blockwise from the same generators
-(:class:`~rkhsivp.collocation.GramFactor`), so neither path forms an n x n
-array or inverts ``L``: both cost O(n) time and memory.  The same factor
-gives ``A`` for any solution as ``L^{-1} (G gamma)``, with ``G gamma`` a
-generator product.
+with ``A = L^T gamma`` and ``G = L L^T``.  For an affine right-hand side
+``g(x) + q(x) u`` collocation is one solve of ``(G - diag(q) Psi) gamma = g
++ q s - (k/x) beta`` (:meth:`~rkhsivp.collocation.CollocationBasis.solve_collocation`).
+Otherwise the first sweep computes ``A`` in node order
+(:meth:`~rkhsivp.collocation.CollocationBasis.forward_sweep`), calling back
+here for ``F`` at each running partial sum; optional further sweeps re-feed
+the previous full solution until the nodal values settle.  This module owns
+the problem side (the shift, the calls of ``F``, the sweep count and the
+cell tables); the basis owns every product with its generators and factor,
+each O(n) in time and memory.
 
 Between adjacent nodes ``v_n`` is a single quintic in ``x - a``, so a
 solution is stored as ``n + 1`` pieces: :class:`RkhsSolution` keeps the
@@ -38,9 +36,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .collocation import CollocationBasis, _quasiseparable_product, build_basis, uniform_points
+from .collocation import CollocationBasis, build_basis, uniform_points
 from .errors import DomainError, ExpressionDomainError, NumericError
-from .kernel_space import build_w23_kernel
+from .kernel_space import build_w23_kernel, quintic_derivative_weights
 from .problem_model import ProblemSpec, ode_residual
 
 __all__ = [
@@ -87,8 +85,8 @@ class RkhsSolution:
         table = basis.cell_coefficients(gamma)
         cells = []
         for d in range(3):
-            # d-th derivative of t^p is perm(p, d) t^(p - d).
-            rows = table[:, d:] * [math.perm(p, d) for p in range(d, 6)]
+            # d-th derivative of t^p is perm(p, d) t^(p - d), the weights at t = 1.
+            rows = table[:, d:] * quintic_derivative_weights(1.0, d)[d:]
             rows = np.ascontiguousarray(rows[:, ::-1].T)
             rows.setflags(write=False)
             cells.append(rows)
@@ -96,10 +94,8 @@ class RkhsSolution:
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        """``A = L^T gamma = L^{-1} (G gamma)``, in O(n) from the basis's ``GramFactor``."""
-        basis = self.basis
-        G_gamma = _quasiseparable_product(basis.U, basis._left, basis._right, self.gamma)
-        out = basis.gram_factor.forward(G_gamma)
+        """``A = L^T gamma = L^{-1} (G gamma)`` (:meth:`CollocationBasis.psibar_coefficients`)."""
+        out = self.basis.psibar_coefficients(self.gamma)
         out.setflags(write=False)
         return out
 
@@ -225,23 +221,7 @@ def solve_nonlinear(
     pts = basis.points.values
     s, slope = _shift(problem, pts)
     factor = basis.gram_factor
-    # For i < l, psibar_i(x_l) = M[l] . W[:, i] and L[l, i] = U[l] . W[:, i], so
-    # t = sum_i A_i W[:, i] over the blocks done carries both the partial sums
-    # and the substitution terms into a block; acc gathers them within it.
-    A, t = np.empty(basis.n), np.zeros(6)
-    for J, LJ in zip(factor.blocks, factor.diag):
-        W, b = factor.W[:, J], len(LJ)
-        acc = np.concatenate([basis.M[J] @ t + s[J], basis.U[J] @ t])
-        shares = np.hstack([np.tril(basis.M[J] @ W, -1).T, np.tril(LJ, -1).T])
-        d = np.diag(LJ)
-        for i, l in enumerate(range(J.start, J.stop)):
-            f_l = _rhs_at_node(F, l, pts[l], acc[i]) - slope[l]
-            A[l] = a = (f_l - acc[b + i]) / d[i]
-            acc += a * shares[i]  # node l's part of the later nodes' sums and terms
-        t += W @ A[J]
-    if not np.all(np.isfinite(A)):
-        raise NumericError("forward sweep produced non-finite coefficients")
-
+    A = basis.forward_sweep(s, lambda l, u: _rhs_at_node(F, l, pts[l], u) - slope[l])
     gamma = factor.backward(A)
     sweeps_used, final_change = 1, None
     if sweeps > 1:
