@@ -18,11 +18,12 @@ class ConfigError(RkhsError):
 class ExpressionSyntaxError(RkhsError):
     """A right-hand-side expression string failed to parse.
 
-    Carries the zero-based character offset of the offending token.
+    Carries the zero-based character offset of the offending token, or None
+    for a derived tree, which has no place in the text.
     """
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.message = message
         self.offset = offset
 

@@ -1,20 +1,22 @@
 """Reproducing kernel of the Sobolev-type space behind the collocation solver.
 
-The working space ``W23`` on an interval ``[a, T]`` consists of functions
-with absolutely continuous second derivative, third derivative in ``L2``,
-and ``u(a) = u'(a) = 0``; its inner product is
+The working space ``W23`` on an interval ``[a, T]`` of length ``L = T - a``
+consists of functions with absolutely continuous second derivative, third
+derivative in ``L2``, and ``u(a) = u'(a) = 0``; its inner product is
 
-    <u, v> = sum_{i=0..2} u^(i)(a) v^(i)(a) + integral_a^T u'''(s) v'''(s) ds.
+    <u, v> = u''(a) v''(a) / L + integral_a^T u'''(s) v'''(s) ds,
 
-Its reproducing kernel has a closed form that does not depend on ``T``.  With
-``s`` and ``t`` the larger and smaller of ``x - a`` and ``y - a``,
+which is ``L^-5`` times the unit interval's under ``x = a + L z``, so the
+method keeps its order on long intervals.  Its reproducing kernel has a
+closed form.  With ``s`` and ``t`` the larger and smaller of ``x - a`` and
+``y - a``,
 
-    R(x, y) = (t^5 - 5 s t^4 + 10 s^2 t^3 + 30 s^2 t^2) / 120,
+    R(x, y) = (t^5 - 5 s t^4 + 10 s^2 t^3 + 30 L s^2 t^2) / 120,
 
 a piecewise quintic with a seam at ``y = x``.  In the monomials ``m(z) = (1,
 z, ..., z^5)`` this reads ``R(x, y) = m(x - a) . C m(y - a)`` on the branch
-``y <= x`` and ``m(x - a) . C^T m(y - a)`` on ``y > x``, for one constant 6x6
-matrix ``C``.  Every kernel quantity the solver needs (sections, their
+``y <= x`` and ``m(x - a) . C^T m(y - a)`` on ``y > x``, for one 6x6 matrix
+``C`` per interval length.  Every kernel quantity the solver needs (sections, their
 derivatives in either slot, operator images at the nodes) is therefore a
 product with ``C`` or ``C^T``.
 """
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable
+from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -91,12 +94,15 @@ def quintic_derivative_weights(y, order: int) -> np.ndarray:
     return _FALL[order] * y ** np.maximum(_POWERS - order, 0)
 
 
-def _closed_form_matrix() -> np.ndarray:
+def _closed_form_matrix(length: float) -> np.ndarray:
+    """The unit interval's ``C`` scaled to ``length``: ``C[p, q] length^(5 - p - q)``."""
     C = np.zeros((6, 6))
     C[2, 2] = 30.0 / 120.0
     C[2, 3] = 10.0 / 120.0
     C[1, 4] = -5.0 / 120.0
     C[0, 5] = 1.0 / 120.0
+    p, q = np.nonzero(C)
+    C[p, q] *= length ** (5 - p - q)
     C.setflags(write=False)
     return C
 
@@ -110,7 +116,10 @@ class W23Kernel:
     """
 
     interval: Interval
-    C: ClassVar[np.ndarray] = _closed_form_matrix()
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return _closed_form_matrix(self.interval.length)
 
     def coefficient_derivatives(self, x: float) -> np.ndarray:
         """Section coefficients ``c = [left (y <= x), right (y > x)]`` and their
@@ -197,6 +206,8 @@ def w23_inner_product(
 
     ``u`` and ``v`` are ``(y, order)`` callables supplying derivatives up to
     order 3 (analytically, or by finite differences with a stated step).
+    The head term of order ``i`` at ``a`` weighs ``L^(2i - 5)``: the space's
+    ``1 / L`` for ``i = 2``; orders 0 and 1 vanish on the space.
     Interior ``breakpoints`` (kernel seams, collocation nodes) are forwarded
     to the quadrature so piecewise integrands do not degrade convergence.
     This routine is a test-suite oracle; the solver itself never integrates.
@@ -206,7 +217,7 @@ def w23_inner_product(
     from scipy.integrate import IntegrationWarning, quad
 
     a, T = interval.a, interval.T
-    head = sum(u(a, i) * v(a, i) for i in range(3))
+    head = sum(u(a, i) * v(a, i) * interval.length ** (2 * i - 5) for i in range(3))
 
     def integrand(s: float) -> float:
         return u(s, 3) * v(s, 3)

@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ExpressionDomainError
+from .errors import ConfigError, DomainError, ExpressionDomainError, ExpressionSyntaxError
 from .kernel_space import Interval
-from .rhs_expr import Expr, derivative, evaluate, parse
+from .rhs_expr import MAX_DERIVATIVE_HEIGHT, Expr, derivative, evaluate, height, parse
 
 __all__ = [
     "AffineRhs",
@@ -53,10 +53,19 @@ class ExactSolution:
         """``u`` given as an expression in ``x``; ``du`` and ``d2u`` are its exact derivatives.
 
         Each function walks its tree with :func:`evaluate` (looked up when
-        called), at ``u = 0``.
+        called), at ``u = 0``.  That walk recurses once per level, so a
+        derivative tree higher than ``MAX_DERIVATIVE_HEIGHT`` is refused
+        before it is derived again or evaluated.
         """
-        du = derivative(expr, "x")
-        trees = (expr, du, derivative(du, "x"))
+        trees = [expr]
+        for name in ("u'", "u''"):
+            trees.append(derivative(trees[-1], "x"))
+            levels = height(trees[-1])
+            if levels > MAX_DERIVATIVE_HEIGHT:
+                raise ExpressionSyntaxError(
+                    f"exact solution's {name} is {levels} levels high, "
+                    f"more than the {MAX_DERIVATIVE_HEIGHT} that evaluation allows"
+                )
         return cls(*(lambda x, tree=tree: evaluate(tree, x, 0.0) for tree in trees))
 
 
@@ -83,13 +92,19 @@ def ode_residual(problem: ProblemSpec, xs, u, du, d2u) -> np.ndarray:
 
     Samples at the pole, ``|x| <= 4 eps max(|a|, |T|)`` (a node midpoint
     can round to 5.6e-17), are left out, as every grid leaves out ``a``;
-    inf and NaN stay in the result.
+    inf and NaN stay in the result.  A domain error of ``F`` names ``x`` and
+    ``u``.
     """
     xs, u, du, d2u = (np.asarray(v, dtype=float) for v in (xs, u, du, d2u))
     a, T = problem.interval.a, problem.interval.T
     keep = np.abs(xs) > 4 * np.finfo(float).eps * max(abs(a), abs(T))
     xs, u, du, d2u = xs[keep], u[keep], du[keep], d2u[keep]
-    f = np.array([problem.rhs(float(x), float(v)) for x, v in zip(xs, u)])
+    f = np.empty(xs.size)
+    for j, (x, v) in enumerate(zip(xs.tolist(), u.tolist())):
+        try:
+            f[j] = problem.rhs(x, v)
+        except (ExpressionDomainError, ValueError) as exc:
+            raise DomainError(f"right-hand side domain error at x={x}, u={v}: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(d2u + (problem.k / xs) * du - f)
 
@@ -112,7 +127,7 @@ def verify_exact(problem: ProblemSpec) -> ExactnessReport:
 
     :func:`ode_residual` is sampled at ``a + j (T - a) / 25``, ``j = 1..24``;
     a NaN residual fails the check.  A domain error of ``u``, ``u'`` or
-    ``u''`` names the function and its ``x``.
+    ``u''`` names the function and its ``x``; one of ``F`` names the check.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to verify")
@@ -128,7 +143,10 @@ def verify_exact(problem: ProblemSpec) -> ExactnessReport:
     xs = [a + (j / 25) * (T - a) for j in range(1, 25)]
     d2u, du, u = zip(*((at(x, ex.d2u, "u''"), at(x, ex.du, "u'"), at(x, ex.u, "u"))
                        for x in xs))
-    residual = ode_residual(problem, xs, u, du, d2u)
+    try:
+        residual = ode_residual(problem, xs, u, du, d2u)
+    except DomainError as exc:
+        raise DomainError(f"exact solution check: {exc}") from exc
     return ExactnessReport(
         max_residual=float(np.max(residual)),
         ic_value_error=abs(at(a, ex.u, "u") - problem.alpha),

@@ -40,6 +40,8 @@ __all__ = [
     "pretty",
     "affine_in",
     "derivative",
+    "height",
+    "MAX_DERIVATIVE_HEIGHT",
 ]
 
 VARIABLES = ("x", "u")
@@ -51,6 +53,9 @@ FUNCTIONS = tuple(_MATH)
 # Parsed trees are at most this high (each operator of a chain counts) and the
 # parser's rules nest at most this deep; evaluation recurses once per level.
 _MAX_DEPTH = 200
+# The highest derivative tree to evaluate: u'' of the division chain at the
+# parser's limit, x/x/.../x, is exactly this high.
+MAX_DERIVATIVE_HEIGHT = 3 * _MAX_DEPTH + 1
 
 
 @dataclass(frozen=True)
@@ -359,6 +364,28 @@ def derivative(expr: Expr, name: str) -> Expr:
         return _mul(BinOp("*", r, BinOp("^", l, BinOp("-", r, _ONE))), dl)
     log_term = _mul(dr, Call("ln", l))  # l^r (r' ln(l) + r l'/l)
     return _mul(expr, log_term if dl is _ZERO else _add(log_term, BinOp("/", _mul(r, dl), l)))
+
+
+def height(expr: Expr) -> int:
+    """The levels of ``expr``, a leaf counting 1, as the parser counts them.
+
+    Without recursion, and each shared node (by identity) is measured once:
+    a derivative tree can be higher than the recursion limit and hold far
+    more paths than nodes.
+    """
+    heights: dict[int, int] = {}
+    stack = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in heights:
+            continue
+        kids = [v for v in vars(node).values() if isinstance(v, (Num, Name, Neg, BinOp, Call))]
+        if expanded:
+            heights[id(node)] = 1 + max((heights[id(k)] for k in kids), default=0)
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+    return heights[id(expr)]
 
 
 def affine_in(expr: Expr, name: str) -> bool:

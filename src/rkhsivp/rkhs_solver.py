@@ -266,14 +266,18 @@ def residual_sup_norm(sol: RkhsSolution) -> float:
     never touches the singular endpoint, and the midpoints between the nodes
     of ``sol`` (and between ``a`` and the first node), where the residual is
     not zero by construction; a sample at the pole ``x = 0`` is left out.
-    The solution is evaluated in one vectorized pass.
+    The solution is evaluated in one vectorized pass.  A domain error of
+    ``F`` names the residual, ``x`` and ``u``.
     """
     problem, nodes = sol.problem, sol.basis.points.values
     a = problem.interval.a
     xs = uniform_points(problem.interval, 200).values
     xs = np.concatenate([xs, 0.5 * (np.concatenate([[a], nodes[:-1]]) + nodes)])
     u0, u1, u2 = (evaluate(sol, xs, d) for d in range(3))
-    return float(np.max(ode_residual(problem, xs, u0, u1, u2)))
+    try:
+        return float(np.max(ode_residual(problem, xs, u0, u1, u2)))
+    except DomainError as exc:
+        raise DomainError(f"residual sup-norm: {exc}") from exc
 
 
 @dataclass(frozen=True)

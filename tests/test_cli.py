@@ -303,6 +303,54 @@ class TestSolveConfig:
         assert out == ""
         assert err == "error: interval requires a < T, got [1.0, 1.0]\n"
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"rhs": 6}, "config key 'rhs' must be an expression string"),
+            ({"name": ""}, "config key 'name' must be a non-empty string"),
+            ({"k": -1}, "config key 'k' must be nonnegative, got -1"),
+        ],
+        ids=["rhs-not-string", "empty-name", "negative-k"],
+    )
+    def test_invalid_field(self, capsys, tmp_path, overrides, message):
+        code, out, err = run(capsys, "solve", "--config", write_config(tmp_path, **overrides))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_root_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: config root must be a JSON object\n")
+
+    def test_exact_too_high_to_evaluate(self, capsys, tmp_path):
+        # A 200-level power tower parses; its u'' is 997 levels high, and
+        # evaluating it would overflow the interpreter's stack.
+        path = write_config(tmp_path, rhs="6", exact="x" + "^x" * 199)
+        code, out, err = run(capsys, "solve", "--config", path, "--n", "10")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact solution's u'' is 997 levels high, "
+            "more than the 601 that evaluation allows\n"
+        )
+
+    def test_exact_check_names_rhs_domain_error(self, capsys, tmp_path):
+        path = write_config(tmp_path, rhs="ln(u)", exact="x-0.5", alpha=-0.5, beta=1)
+        code, out, err = run(capsys, "solve", "--config", path)
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: exact solution check: right-hand side domain error at x=0.04, "
+            "u=-0.46: logarithm of non-positive value -0.46 in 'ln(u)'\n"
+        )
+
+    def test_relative_error_blank_where_exact_is_zero(self, capsys, tmp_path):
+        path = write_config(tmp_path, k=0, rhs="0", exact="x - 0.5", alpha=-0.5, beta=1)
+        argv = ("solve", "--config", path, "--n", "10", "--grid", "0.25,0.5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.25,-0.25,-0.25,0,0", "0.5,0,0,0,"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["rows"][1] == [0.5, 0.0, 0.0, 0.0, None]
+
 
 class TestSweepCap:
     """Sweeps that stop at ``--sweeps`` above ``--tol`` warn, or fail under ``--strict``."""
@@ -379,6 +427,31 @@ class TestSolveErrors:
         )
         assert code == 2
         assert "bad grid value 'apple'" in err
+
+    def test_grid_without_points(self, capsys):
+        code, out, err = run(capsys, "solve", "--problem", "ex1", "--grid", ",")
+        assert (code, out, err) == (2, "", "error: grid must contain at least one point\n")
+
+    def test_oracle_domain_error_names_x(self, capsys, tmp_path):
+        # The nodes lie past 0.05; the oracle's first step starts at x = 0.
+        path = write_config(tmp_path, rhs="sqrt(x - 0.05)", exact=None)
+        code, out, err = run(capsys, "solve", "--config", path, "--n", "10")
+        assert (code, out) == (5, "")
+        assert err == (
+            "error: right-hand side domain error at x=0.0: square root of negative "
+            "value -0.05 in 'sqrt(x-0.050000000000000003)'\n"
+        )
+
+    def test_sweep_overflow_is_a_numeric_error(self, capsys, tmp_path):
+        # F is finite at every node, +-1.7e308 in turn, so the partial sums
+        # overflow; that is reported once, with no floating-point warning.
+        path = write_config(tmp_path, rhs="1.7e308*cos(pi*10*x)", exact=None)
+        code, out, err = run(
+            capsys, "solve", "--config", path, "--n", "10", "--method", "nonlinear"
+        )
+        assert (code, out, err) == (
+            4, "", "error: forward sweep produced non-finite coefficients\n"
+        )
 
     def test_grid_point_outside(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "ex1", "--grid", "1.5")
@@ -624,6 +697,28 @@ class TestConverge:
         assert payload["problem"] == "ex1"
         assert payload["method"] == "linear"
         assert len(payload["rows"]) == 1
+
+    def test_error_that_grows_with_n_warns(self, capsys, tmp_path):
+        # Against a wrong exact u = x^2 - 0.1 the error tends to 0.1 from below.
+        path = write_config(tmp_path, rhs="6", exact="x^2 - 0.1")
+        code, out, err = run(capsys, "converge", "--config", path, "--n-list", "10,20,40")
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
+        assert [line for line in err.splitlines() if "did not decrease" in line] == [
+            "warning: max absolute error did not decrease from n=10 to n=20",
+            "warning: max absolute error did not decrease from n=20 to n=40",
+        ]
+
+    def test_residual_names_rhs_domain_error(self, capsys, tmp_path):
+        # 1/(x - 0.005) is defined at the nodes and in the exact check, but
+        # the residual samples x = 0.005.
+        path = write_config(tmp_path, rhs="1/(x-0.005)", exact="x^2")
+        code, out, err = run(capsys, "converge", "--config", path, "--n-list", "25")
+        assert (code, out) == (5, "")
+        assert err.splitlines()[-1].startswith(
+            "error: residual sup-norm: right-hand side domain error at x=0.005, u="
+        )
+        assert err.endswith(": division by zero in '1/(x-0.0050000000000000001)'\n")
 
     def test_empty_n_list(self, capsys):
         code, _, err = run(capsys, "converge", "--problem", "ex1", "--n-list", ",")

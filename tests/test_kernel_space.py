@@ -175,15 +175,15 @@ def condition_system_coefficients(xi, length):
     """Section coefficients at base point a + xi from the defining conditions.
 
     Unknowns are the left (y <= x) and right (y > x) quintic blocks in
-    powers of eta = y - a.  Rows: value, slope, and second minus third
-    derivative vanish at eta = 0 on the left block; orders 3..5 vanish at
-    eta = T - a on the right block; orders 0..4 are continuous at the seam
-    and the fifth derivative drops by one across it.
+    powers of eta = y - a.  Rows: value, slope, and the second derivative
+    over T - a minus the third vanish at eta = 0 on the left block; orders
+    3..5 vanish at eta = T - a on the right block; orders 0..4 are continuous
+    at the seam and the fifth derivative drops by one across it.
     """
     A = np.zeros((12, 12))
     A[0, :6] = monomial_row(0.0, 0)
     A[1, :6] = monomial_row(0.0, 1)
-    A[2, :6] = monomial_row(0.0, 2) - monomial_row(0.0, 3)
+    A[2, :6] = monomial_row(0.0, 2) / length - monomial_row(0.0, 3)
     for r, order in enumerate((3, 4, 5)):
         A[3 + r, 6:] = monomial_row(length, order)
     for order in range(6):

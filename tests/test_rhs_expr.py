@@ -15,6 +15,7 @@ from rkhsivp.problem_model import ExactSolution
 from rkhsivp.rhs_expr import (
     _MAX_DEPTH,
     FUNCTIONS,
+    MAX_DERIVATIVE_HEIGHT,
     BinOp,
     Call,
     Name,
@@ -23,6 +24,7 @@ from rkhsivp.rhs_expr import (
     affine_in,
     derivative,
     evaluate,
+    height,
     parse,
     pretty,
 )
@@ -214,6 +216,25 @@ class TestErrors:
         exact = ExactSolution.from_expression(parse("x" + "/x" * (m - 1)))
         assert exact.u(1.0) == 1.0
         assert exact.d2u(1.0) == (2 - m) * (1 - m)
+
+    def test_derivative_height_limit_is_the_division_chain(self):
+        # The chain's u'' is the highest tree that evaluation must reach.
+        du = derivative(parse("x" + "/x" * (_MAX_DEPTH - 1)), "x")
+        assert height(du) == 2 * _MAX_DEPTH
+        assert height(derivative(du, "x")) == MAX_DERIVATIVE_HEIGHT == 3 * _MAX_DEPTH + 1
+
+    @pytest.mark.parametrize(
+        "text, levels", [("x", 1), ("-x", 2), ("(x+1)*2", 3), ("sin(x)^2 - u", 4)]
+    )
+    def test_height_counts_levels_as_the_parser_does(self, text, levels):
+        assert height(parse(text)) == levels
+
+    def test_height_measures_shared_nodes_once(self):
+        # 2,000 levels of one shared node: 2^2000 paths, far past the stack.
+        node = Name("x")
+        for _ in range(2_000):
+            node = BinOp("*", node, node)
+        assert height(node) == 2_001
 
     @pytest.mark.parametrize(
         "text,x,u,sub",

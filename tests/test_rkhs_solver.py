@@ -573,6 +573,57 @@ def test_solve_does_not_import_scipy_integrate(tmp_path):
     assert loaded == {"import": [], "ex1": [], "ex2": [], "cli": []}
 
 
+class TestIntervalLength:
+    """The kernel is scaled to ``L = T - a``, so the method does not see ``L``."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.floats(0.0, 5.0),
+        log_length=st.floats(-2.0, 4.0),
+        alpha=st.floats(-1.0, 1.0),
+        n=st.integers(1, 200),
+        sweeps=st.sampled_from([1, 3]),
+    )
+    def test_solution_maps_to_unit_interval(self, k, log_length, alpha, n, sweeps):
+        # With a = 0, u(x) = v(x / L) where v'' + (k/z) v' = L^2 F(L z, v)
+        # on [0, 1]; here F(x, u) = G(x / L, u) / L^2.
+        L = 10.0**log_length
+
+        def G(z, v):
+            return 1.0 + z - 0.5 * math.sin(v)
+
+        unit = ProblemSpec("unit", k, Interval(0.0, 1.0), alpha, 0.0, rhs=G)
+        long = ProblemSpec("long", k, Interval(0.0, L), alpha, 0.0,
+                           rhs=lambda x, u: G(x / L, u) / (L * L))
+        z = np.linspace(0.0, 1.0, 301)
+        want = evaluate(solve_problem(unit, n=n, sweeps=sweeps, tol=0.0), z)
+        got = evaluate(solve_problem(long, n=n, sweeps=sweeps, tol=0.0), np.minimum(z * L, L))
+        # At most 7e-16 relative over L in [0.01, 1e4]; an unscaled kernel
+        # gives 5e-9 to 8e-2.
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "k, T, c, exact, bound",
+        [
+            # error n^2 is 0.97-1.0 here, as on [0, 1]; an unscaled kernel is
+            # first order (50 at n = 50, 400 at n = 400).
+            (0.0, 1e6, 1.0, lambda x: x * x / 2, 1.2),
+            # error n^2 is 5.2e-3-6.6e-4, as on [0, 1]; unscaled 0.52-0.31.
+            (2.0, 1000.0, 6.0, lambda x: x * x, 0.01),
+        ],
+    )
+    def test_long_interval_keeps_second_order(self, k, T, c, exact, bound):
+        problem = ProblemSpec("long", k, Interval(0.0, T), 0.0, 0.0, rhs=lambda x, u: c,
+                              affine=AffineRhs(g=lambda x: c, q=lambda x: 0.0))
+        xs = uniform_points(problem.interval, 1000).values
+        errors = []
+        for n in (50, 100, 200, 400):
+            error = np.max(np.abs(evaluate(solve_problem(problem, n=n), xs) - exact(xs)))
+            errors.append(error / exact(T))
+            assert errors[-1] <= bound / n**2
+        assert all(coarse >= 3.5 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
 class TestSolveProblem:
     def test_dispatch(self, ex1, ex2):
         assert solve_problem(ex1, n=20).method == "linear"
