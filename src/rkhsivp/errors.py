@@ -22,7 +22,7 @@ class ExpressionSyntaxError(RkhsError):
     for a derived tree, which has no place in the text.
     """
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, message: str, offset: int | None):
         super().__init__(message if offset is None else f"{message} (at offset {offset})")
         self.message = message
         self.offset = offset

@@ -64,7 +64,7 @@ class ExactSolution:
             if levels > MAX_DERIVATIVE_HEIGHT:
                 raise ExpressionSyntaxError(
                     f"exact solution's {name} is {levels} levels high, "
-                    f"more than the {MAX_DERIVATIVE_HEIGHT} that evaluation allows"
+                    f"more than the {MAX_DERIVATIVE_HEIGHT} that evaluation allows", None
                 )
         return cls(*(lambda x, tree=tree: evaluate(tree, x, 0.0) for tree in trees))
 
