@@ -45,7 +45,7 @@ from .errors import (
 from .kernel_space import Interval, build_w23_kernel, eval_kernel
 from .problem_model import AffineRhs, ExactSolution, ProblemSpec, builtin, verify_exact
 from .reference_oracle import integrate
-from .rhs_expr import affine_in, derivative
+from .rhs_expr import affine_in, compile_expr, derivative
 from .rhs_expr import evaluate as eval_expr
 from .rhs_expr import parse as parse_expr
 from .rkhs_solver import RkhsSolution, error_report, residual_sup_norm, solve_problem
@@ -100,7 +100,9 @@ def load_problem_config(path: str, strict: bool = False) -> ProblemSpec:
     When an exact solution is given it is substituted into the equation; a
     residual above 1e-6 (or an initial-condition mismatch above 1e-7) is
     reported as a warning, or as an error under strict mode.  A right-hand
-    side affine in u gets the affine form g = F(x, 0), q = dF/du.
+    side affine in u gets the affine form g = F(x, 0), q = dF/du.  Each
+    expression is compiled once (``compile_expr``); the problem's functions
+    pass the compiled code to ``eval_expr``, looked up when called.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,17 +134,17 @@ def load_problem_config(path: str, strict: bool = False) -> ProblemSpec:
     beta = _config_number(raw, "beta")
 
     rhs_ast = _parse_config_expr(raw, "rhs")
+    rhs = compile_expr(rhs_ast)
     affine = None
     if affine_in(rhs_ast, "u"):
-        q_ast = derivative(rhs_ast, "u")
-        affine = AffineRhs(g=lambda x: eval_expr(rhs_ast, x, 0.0),
-                           q=lambda x: eval_expr(q_ast, x, 0.0))
+        q = compile_expr(derivative(rhs_ast, "u"))
+        affine = AffineRhs(g=lambda x: eval_expr(rhs, x, 0.0), q=lambda x: eval_expr(q, x, 0.0))
     exact = None
     if raw.get("exact") is not None:
         exact = ExactSolution.from_expression(_parse_config_expr(raw, "exact"))
 
     problem = ProblemSpec(name=name, k=k, interval=interval, alpha=alpha, beta=beta,
-                          rhs=lambda x, u: eval_expr(rhs_ast, x, u), affine=affine, exact=exact)
+                          rhs=lambda x, u: eval_expr(rhs, x, u), affine=affine, exact=exact)
     if exact is not None:
         report = verify_exact(problem)
         if not report.ok:

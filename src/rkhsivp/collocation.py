@@ -369,7 +369,8 @@ class GramFactor:
         x, w = np.empty(len(y)), np.zeros(len(self.W))
         for J, LJ in zip(reversed(self.blocks), reversed(self.diag)):
             x[J] = np.linalg.solve(LJ.T, y[J] - w @ self.W[:, J])
-            w += x[J] @ self.U[J]
+            if J.start:  # nothing reads w after the first block
+                w += x[J] @ self.U[J]
         return x
 
 

@@ -4,7 +4,9 @@ A :class:`ProblemSpec` bundles the singularity strength ``k``, the domain,
 the initial values ``u(a) = alpha`` and ``u'(a) = beta``, the right-hand side
 ``F`` and, when known, the exact solution and an explicit affine form
 ``F(x, u) = g(x) + q(x) u``.  The affine form is what routes a problem onto
-the direct linear solve; there is no black-box linearity detection.
+the direct linear solve; there is no black-box linearity detection.  An
+``exact`` expression is compiled once, when the problem is built, and its
+functions call :func:`~rkhsivp.rhs_expr.evaluate` on the compiled code.
 :func:`ode_residual` is the one residual of the equation, read by
 :func:`verify_exact` and the solver.
 """
@@ -19,7 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ExpressionDomainError, ExpressionSyntaxError
 from .kernel_space import Interval
-from .rhs_expr import MAX_DERIVATIVE_HEIGHT, Expr, derivative, evaluate, height, parse
+from .rhs_expr import (
+    MAX_DERIVATIVE_HEIGHT,
+    Expr,
+    compile_expr,
+    derivative,
+    evaluate,
+    height,
+    parse,
+)
 
 __all__ = [
     "AffineRhs",
@@ -52,10 +62,11 @@ class ExactSolution:
     def from_expression(cls, expr: Expr) -> "ExactSolution":
         """``u`` given as an expression in ``x``; ``du`` and ``d2u`` are its exact derivatives.
 
-        Each function walks its tree with :func:`evaluate` (looked up when
-        called), at ``u = 0``.  That walk recurses once per level, so a
+        Each tree is compiled once (:func:`compile_expr`), and each function
+        calls :func:`evaluate` (looked up when called) on it at ``u = 0``.
+        ``derivative`` and ``pretty`` recurse once per level, so a
         derivative tree higher than ``MAX_DERIVATIVE_HEIGHT`` is refused
-        before it is derived again or evaluated.
+        before it is derived again or compiled.
         """
         trees = [expr]
         for name in ("u'", "u''"):
@@ -66,7 +77,7 @@ class ExactSolution:
                     f"exact solution's {name} is {levels} levels high, "
                     f"more than the {MAX_DERIVATIVE_HEIGHT} that evaluation allows", None
                 )
-        return cls(*(lambda x, tree=tree: evaluate(tree, x, 0.0) for tree in trees))
+        return cls(*(lambda x, f=compile_expr(tree): evaluate(f, x, 0.0) for tree in trees))
 
 
 @dataclass(frozen=True)

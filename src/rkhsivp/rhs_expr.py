@@ -11,12 +11,14 @@ tighter than ``^`` so ``-x^2`` is ``(-x)^2``):
 
 Identifiers are the variables ``x`` and ``u``, the constants ``pi`` and
 ``e``, and the functions exp, ln, sin, cos, sinh, cosh, sqrt, abs.  Syntax
-errors carry the character offset of the offending token; evaluation follows
-IEEE double semantics (overflow saturates to infinity) and raises a domain
-error naming the offending sub-expression for logs of non-positive numbers,
-division by zero and fractional powers of negative bases.  :func:`derivative`
-differentiates a tree exactly, and :func:`affine_in` asks whether that
-derivative is free of the variable.
+errors carry the character offset of the offending token.
+:func:`compile_expr` turns a tree into straight-line Python once, and
+:func:`evaluate` calls the result.  Evaluation follows IEEE double semantics
+(overflow saturates to infinity) and raises a domain error naming the
+offending sub-expression for logs of non-positive numbers, division by zero
+and fractional powers of negative bases.  :func:`derivative` differentiates
+a tree exactly, and :func:`affine_in` asks whether that derivative is free
+of the variable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ExpressionDomainError, ExpressionSyntaxError
 
@@ -37,6 +39,7 @@ __all__ = [
     "Expr",
     "parse",
     "evaluate",
+    "compile_expr",
     "pretty",
     "affine_in",
     "derivative",
@@ -46,15 +49,18 @@ __all__ = [
 
 VARIABLES = ("x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-_MATH = {"exp": math.exp, "ln": math.log, "sin": math.sin, "cos": math.cos,
-         "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt, "abs": abs}
-FUNCTIONS = tuple(_MATH)
+# The right-hand side of a call's statement in compiled code (see _RUNTIME).
+_CALLS = {"exp": "_saturating(exp, {0})", "ln": "_ln({0}, {n})", "sin": "_trig(sin, {0})",
+          "cos": "_trig(cos, {0})", "sinh": "_saturating(sinh, {0})",
+          "cosh": "_saturating(cosh, {0})", "sqrt": "_sqrt({0}, {n})", "abs": "abs({0})"}
+FUNCTIONS = tuple(_CALLS)
 
 # Parsed trees are at most this high (each operator of a chain counts) and the
-# parser's rules nest at most this deep; evaluation recurses once per level.
+# parser's rules nest at most this deep; derivative and pretty recurse once
+# per level (compiled evaluation does not recurse).
 _MAX_DEPTH = 200
-# The highest derivative tree to evaluate: u'' of the division chain at the
-# parser's limit, x/x/.../x, is exactly this high.
+# The highest derivative tree to derive or render: u'' of the division chain
+# at the parser's limit, x/x/.../x, is exactly this high.
 MAX_DERIVATIVE_HEIGHT = 3 * _MAX_DEPTH + 1
 
 
@@ -253,58 +259,135 @@ def _domain(message: str, node: Expr):
     raise ExpressionDomainError(message, pretty(node))
 
 
-def _eval(node: Expr, x: float, u: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        if node.ident == "x":
-            return x
-        if node.ident == "u":
-            return u
-        return CONSTANTS[node.ident]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x, u)
-    if isinstance(node, Call):
-        v, f = _eval(node.arg, x, u), node.func
-        if f == "ln" and v <= 0.0:
-            _domain(f"logarithm of non-positive value {v}", node)
-        if f == "sqrt" and v < 0.0:
-            _domain(f"square root of negative value {v}", node)
-        if f in ("sin", "cos") and math.isinf(v):
-            return math.nan  # as in IEEE (math raises)
-        try:
-            return _MATH[f](v)
-        except OverflowError:  # exp, sinh and cosh saturate, as in IEEE
-            return math.copysign(math.inf, v) if f == "sinh" else math.inf
-    # binary operator
-    lv = _eval(node.left, x, u)
-    rv = _eval(node.right, x, u)
-    op = node.op
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "/":
-        if rv == 0.0:
-            _domain("division by zero", node)
-        return lv / rv
-    # power; an infinite exponent counts as an even integer, as in IEEE pow
-    if lv < 0.0 and math.isfinite(rv) and rv != math.floor(rv):
-        _domain(f"fractional power of negative base {lv}", node)
-    if lv == 0.0 and rv < 0.0:
+# The helpers of compiled code.  Each makes the checks and the ``math`` calls
+# of its operator in the order the tree walk made them, so values, NaNs and
+# messages are the walk's bit for bit; ``pretty(node)`` runs only on failure.
+def _div(l: float, r: float, node: BinOp) -> float:
+    if r == 0.0:
+        _domain("division by zero", node)
+    return l / r
+
+
+def _pow(l: float, r: float, node: BinOp) -> float:
+    # An infinite exponent counts as an even integer, as in IEEE pow.
+    if l < 0.0 and math.isfinite(r) and r != math.floor(r):
+        _domain(f"fractional power of negative base {l}", node)
+    if l == 0.0 and r < 0.0:
         _domain("zero raised to a negative power", node)
     try:
-        return math.pow(lv, rv)
+        return math.pow(l, r)
     except OverflowError:
-        sign = -1.0 if (lv < 0.0 and math.floor(rv) % 2 == 1) else 1.0
+        sign = -1.0 if (l < 0.0 and math.floor(r) % 2 == 1) else 1.0
         return sign * math.inf
 
 
-def evaluate(expr: Expr, x: float, u: float) -> float:
-    """Evaluate ``expr`` at ``(x, u)`` with IEEE double semantics."""
-    return _eval(expr, float(x), float(u))
+def _ln(v: float, node: Call) -> float:
+    if v <= 0.0:
+        _domain(f"logarithm of non-positive value {v}", node)
+    return math.log(v)
+
+
+def _sqrt(v: float, node: Call) -> float:
+    if v < 0.0:
+        _domain(f"square root of negative value {v}", node)
+    return math.sqrt(v)
+
+
+def _trig(f, v: float) -> float:
+    return math.nan if math.isinf(v) else f(v)  # as in IEEE (math raises)
+
+
+def _saturating(f, v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:  # exp, sinh and cosh saturate, as in IEEE
+        return math.copysign(math.inf, v) if f is math.sinh else math.inf
+
+
+_RUNTIME = {"_div": _div, "_pow": _pow, "_ln": _ln, "_sqrt": _sqrt, "_trig": _trig,
+            "_saturating": _saturating, "abs": abs, "sin": math.sin, "cos": math.cos,
+            "exp": math.exp, "sinh": math.sinh, "cosh": math.cosh}
+# The right-hand side of each node's statement, from the values of its
+# operands and the name ``{n}`` of the node itself.
+_BINARY = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
+           "/": "_div({0}, {1}, {n})", "^": "_pow({0}, {1}, {n})"}
+
+
+def _kids(node: Expr) -> tuple:
+    """The operands of ``node``, left to right."""
+    kind = type(node)
+    if kind is BinOp:
+        return node.left, node.right
+    if kind is Neg:
+        return (node.operand,)
+    if kind is Call:
+        return (node.arg,)
+    return ()
+
+
+def _postorder(expr: Expr):
+    """Each distinct node of ``expr`` (by identity) once, after its operands.
+
+    Without recursion.  Operands go left to right, so the order is the tree
+    walk's with every repeated subtree left out.
+    """
+    done: set[int] = set()
+    stack = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            done.add(id(node))
+            yield node
+        elif id(node) not in done:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(_kids(node)))
+
+
+def compile_expr(expr: Expr) -> Callable[[float, float], float]:
+    """``expr`` as one Python function ``f(x, u)`` of floats, compiled once.
+
+    ``f`` runs one statement per distinct node, in the order of a recursive
+    walk that skips repeated subtrees, so it needs no recursion however high
+    the tree is.  ``+``, ``-``, ``*``, negation and ``abs`` are inline; the
+    other operators call helpers that make the walk's checks, so ``f``
+    computes the same floats and raises the same domain errors as it.
+    """
+    namespace = dict(_RUNTIME)
+    values: dict[int, str] = {}  # id(node) -> its name or literal in the source
+    body = []
+    for node in _postorder(expr):
+        kind = type(node)
+        if kind is Name and node.ident in VARIABLES:
+            values[id(node)] = node.ident
+        elif kind is Num or kind is Name:
+            value = node.value if kind is Num else CONSTANTS[node.ident]
+            text = repr(value)
+            if not math.isfinite(value) or text.startswith("-"):
+                text = f"k{len(namespace)}"
+                namespace[text] = value
+            values[id(node)] = text
+        else:
+            name = f"v{len(body)}"
+            template = (_BINARY[node.op] if kind is BinOp
+                        else "-{0}" if kind is Neg else _CALLS[node.func])
+            if "{n}" in template:
+                namespace["n" + name] = node
+            operands = (values[id(k)] for k in _kids(node))
+            body.append(f"    {name} = {template.format(*operands, n='n' + name)}\n")
+            values[id(node)] = name
+    source = "def f(x, u):\n" + "".join(body) + f"    return {values[id(expr)]}\n"
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["f"]
+
+
+def evaluate(expr: Expr | Callable[[float, float], float], x: float, u: float) -> float:
+    """Evaluate ``expr`` at ``(x, u)`` with IEEE double semantics.
+
+    ``expr`` is a function from :func:`compile_expr`, or a tree, which is
+    compiled for this one call.
+    """
+    f = expr if callable(expr) else compile_expr(expr)
+    return f(float(x), float(u))
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -374,17 +457,8 @@ def height(expr: Expr) -> int:
     more paths than nodes.
     """
     heights: dict[int, int] = {}
-    stack = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in heights:
-            continue
-        kids = [v for v in vars(node).values() if isinstance(v, (Num, Name, Neg, BinOp, Call))]
-        if expanded:
-            heights[id(node)] = 1 + max((heights[id(k)] for k in kids), default=0)
-        else:
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
+    for node in _postorder(expr):
+        heights[id(node)] = 1 + max((heights[id(k)] for k in _kids(node)), default=0)
     return heights[id(expr)]
 
 

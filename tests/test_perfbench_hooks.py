@@ -14,8 +14,10 @@ import os
 
 import pytest
 
-from rkhsivp import integrate, problem_model, solve_problem
+from walk_reference import walk
+from rkhsivp import cli, integrate, problem_model, solve_problem
 from rkhsivp.cli import load_problem_config
+from rkhsivp.rhs_expr import parse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
@@ -52,3 +54,22 @@ def test_expression_closures_are_traced(tmp_path):
     finally:
         uninstall()
     assert tracer.self_times()[1]["rhs_expr.evaluate"] == 5
+
+
+def test_compiled_rhs_is_traced(tmp_path):
+    # A loaded config compiles its F once; each call of the problem's rhs
+    # still passes through ``evaluate`` once, which ``dense_eval`` counts.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "p", "k": 2, "a": 0, "T": 1, "alpha": 1, "beta": 0,
+                                "rhs": "-u^3 + sin(x)"}))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        problem = cli.load_problem_config(str(path))
+        assert problem.affine is None
+        value = problem.rhs(0.5, 0.25)
+    finally:
+        uninstall()
+    assert value == walk(parse("-u^3 + sin(x)"), 0.5, 0.25)
+    assert tracer.self_times()[1]["rhs_expr.evaluate"] == 1
+    assert tracer.counts["problem_model.rhs.calls"] == 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rkhsivp.errors import ExpressionDomainError, ExpressionSyntaxError
 from rkhsivp.problem_model import ExactSolution
+from walk_reference import walk
 from rkhsivp.rhs_expr import (
     _MAX_DEPTH,
     FUNCTIONS,
@@ -22,6 +23,7 @@ from rkhsivp.rhs_expr import (
     Neg,
     Num,
     affine_in,
+    compile_expr,
     derivative,
     evaluate,
     height,
@@ -204,7 +206,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
     def test_depth_guard_counts_chained_operators(self, op):
-        # A chain of m terms is a tree of height m; evaluation recurses that deep.
+        # A chain of m terms is a tree of height m; pretty recurses that deep.
         assert math.isfinite(ev(("x" + op) * (_MAX_DEPTH - 1) + "x", x=1.0))
         for terms in (_MAX_DEPTH + 1, 1000):
             with pytest.raises(ExpressionSyntaxError, match="expression too deeply nested"):
@@ -267,6 +269,52 @@ TREES = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def _outcome(f, *args):
+    """The value's bits (any NaN reads the same), or the error's type and message."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestCompiled:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tree=TREES, x=st.floats(-3, 3), u=st.floats(-3, 3))
+    @example(tree=parse("ln(u)*sqrt(x) - abs(x - 3)/(u-u)"), x=1.3, u=0.0)
+    @example(tree=parse("sinh(exp(x*800))^0.5 - (0-2)^x + 0^(0-u)"), x=1.5, u=1.0)
+    # Each IEEE edge once: a signed overflow of ^ and sinh, a trig of inf.
+    @example(tree=parse("(0-10)^401*x"), x=1.0, u=0.0)
+    @example(tree=parse("sinh(0-1000)*cosh(u*1000)"), x=0.0, u=1.0)
+    @example(tree=parse("sin(exp(1000)) - cos(x)"), x=0.0, u=0.0)
+    def test_equals_the_walk_bit_for_bit(self, tree, x, u):
+        # The derivative shares subtrees by identity, so compiled code runs
+        # each once; the first failure must still be the walk's.
+        for t in (tree, derivative(tree, "x")):
+            assert _outcome(evaluate, t, x, u) == _outcome(walk, t, x, u)
+
+    def test_one_statement_per_shared_node(self):
+        # 2,000 levels of one shared node: 2^2000 paths, far past the stack.
+        node = Name("x")
+        for _ in range(2_000):
+            node = BinOp("*", node, node)
+        f = compile_expr(node)
+        assert f.__code__.co_nlocals == 2 + 2_000  # x, u and one value per BinOp
+        assert f(1.0, 0.0) == 1.0 and f(2.0, 0.0) == math.inf and f(0.5, 0.0) == 0.0
+
+    def test_deepest_division_chain_second_derivative_everywhere(self):
+        # u = x^(2 - m); its 601-level u'' is (2 - m)(1 - m) x^(-m).
+        m = _MAX_DEPTH
+        exact = ExactSolution.from_expression(parse("x" + "/x" * (m - 1)))
+        for x in (0.5, 0.9, 1.5):
+            assert exact.d2u(x) == pytest.approx((2 - m) * (1 - m) * x**-m, rel=1e-12)
+
+    def test_evaluate_calls_a_compiled_function(self):
+        f = compile_expr(parse("x - 2*u"))
+        assert evaluate(f, 3, 1) == 1.0
+        with pytest.raises(ExpressionDomainError, match="division by zero in '1/u'"):
+            evaluate(compile_expr(parse("1/u")), 1.0, 0.0)
 
 
 class TestStructureQueries:

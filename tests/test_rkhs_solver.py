@@ -38,6 +38,8 @@ from rkhsivp import (
     w23_inner_product,
 )
 from dense_reference import cholesky_factor, collocation_matrix, dense_gram, node_psi_matrix
+from walk_reference import walk
+from rkhsivp.cli import load_problem_config
 from rkhsivp.collocation import CollocationBasis
 from rkhsivp.problem_model import ode_residual
 from rkhsivp.rhs_expr import parse
@@ -204,6 +206,33 @@ class TestNonlinearSweeps:
         basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 5))
         with pytest.raises(NumericError):
             solve_nonlinear(problem, basis)
+
+
+    def test_overflowing_rhs_solves_without_warning(self):
+        # u = 1e308 x^2 / 6 is finite; the backward substitution's last
+        # carried-vector update (read by nothing) used to overflow.
+        problem = ProblemSpec(name="huge", k=2.0, interval=Interval(0.0, 1.0), alpha=0.0,
+                              beta=0.0, rhs=lambda x, u: 1e308)
+        value = evaluate(solve_problem(problem, n=10, method="nonlinear"), 0.5)
+        assert math.isfinite(value) and value == pytest.approx(1e308 / 24, rel=1e-2)
+
+    @pytest.mark.parametrize("k,alpha,rhs", [
+        (2.0, 1.0, "-u^3 + sin(x)"),
+        (2.0, 0.0, "-4*(2*exp(u) + exp(u/2))"),
+        (8.0, 1.0, "-9*pi*u - 2*pi*u*ln(u)"),
+    ])
+    def test_compiled_rhs_solves_as_the_walk(self, tmp_path, k, alpha, rhs):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "p", "k": k, "a": 0, "T": 1, "alpha": alpha,
+                                    "beta": 0, "rhs": rhs}))
+        loaded = load_problem_config(str(path))
+        tree = parse(rhs)
+        walked = dataclasses.replace(loaded, rhs=lambda x, u: walk(tree, x, u))
+        a, b = (solve_problem(p, n=50, sweeps=30, tol=1e-12) for p in (loaded, walked))
+        assert a.sweeps_used > 1
+        for mine, ref in zip((a.gamma, *a.cells), (b.gamma, *b.cells)):
+            assert mine.tobytes() == ref.tobytes()
+        assert (a.sweeps_used, a.final_change.hex()) == (b.sweeps_used, b.final_change.hex())
 
 
 def manufactured_shifted(rhs_calls=None):
