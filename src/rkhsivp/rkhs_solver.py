@@ -62,7 +62,8 @@ class RkhsSolution:
     ``d``-th derivative of the shifted unknown ``v`` as one polynomial in
     ``x - a`` per cell (:meth:`CollocationBasis.cell_coefficients`), highest
     power first: ``cells[d][p, j]`` multiplies ``(x - a)^(5 - d - p)`` on the
-    cell after node ``j``.
+    cell after node ``j``.  A table that overflows (``gamma`` near the
+    largest float) raises ``NumericError``.
     """
 
     def __init__(
@@ -82,14 +83,21 @@ class RkhsSolution:
         self.method = method
         self.sweeps_used = sweeps_used
         self.final_change = final_change
-        table = basis.cell_coefficients(gamma)
         cells = []
-        for d in range(3):
-            # d-th derivative of t^p is perm(p, d) t^(p - d), the weights at t = 1.
-            rows = table[:, d:] * quintic_derivative_weights(1.0, d)[d:]
-            rows = np.ascontiguousarray(rows[:, ::-1].T)
-            rows.setflags(write=False)
-            cells.append(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            table = basis.cell_coefficients(gamma)
+            for d in range(3):
+                # d-th derivative of t^p is perm(p, d) t^(p - d), the weights at t = 1.
+                rows = table[:, d:] * quintic_derivative_weights(1.0, d)[d:]
+                rows = np.ascontiguousarray(rows[:, ::-1].T)
+                rows.setflags(write=False)
+                cells.append(rows)
+        for name, rows in zip(("u", "u'", "u''"), cells):
+            if not np.all(np.isfinite(rows)):
+                raise NumericError(
+                    f"cell table of {name} is not finite (max |gamma| "
+                    f"{np.max(np.abs(gamma)):.3g}): the solution overflows"
+                )
         self.cells = tuple(cells)
 
     @cached_property
@@ -100,9 +108,16 @@ class RkhsSolution:
         return out
 
     @cached_property
-    def _scalar_cells(self) -> tuple[list[float], list[list[list[float]]]]:
-        """The nodes and ``cells`` as Python lists, for the per-point path."""
-        return self.basis.points.values.tolist(), [c.T.tolist() for c in self.cells]
+    def _scalar(self) -> tuple:
+        """What the per-point path of :func:`evaluate` reads, as Python objects.
+
+        The nodes, ``cells`` with one tuple per cell, ``a``, ``T``, ``alpha``
+        and ``beta``.
+        """
+        p = self.problem
+        return (self.basis.points.values.tolist(),
+                [list(map(tuple, c.T.tolist())) for c in self.cells],
+                p.interval.a, p.interval.T, float(p.alpha), float(p.beta))
 
     def __call__(self, x: float, deriv: int = 0) -> float:
         return evaluate(self, x, deriv)
@@ -113,10 +128,23 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
 
     The cell of ``x`` is the number of nodes ``x_i <= x``; one Horner pass
     over its row of ``sol.cells`` gives ``v``, and the shift is added.  A
-    Python number ``x`` gives a float without touching numpy (a bisection
-    and six floats); an array of points gives an array of the same shape
-    through the same operations, so both paths agree bit for bit.
+    Python float in ``[a, T]`` goes straight to a bisection and six float
+    operations over Python copies of the nodes and cells, with no numpy
+    call.  Any other number (an int or a numpy scalar) is checked, made a
+    float and takes the same steps; an array of points gives an array of
+    the same shape through the same operations, so all paths agree bit for
+    bit.
     """
+    if type(x) is float:
+        nodes, cells, a, T, alpha, beta = sol._scalar
+        if a <= x <= T and deriv in (0, 1, 2):
+            t = x - a
+            out = 0.0
+            for c in cells[deriv][bisect_right(nodes, x)]:
+                out = out * t + c
+            if deriv == 0:
+                return out + (alpha + beta * t)
+            return out + beta if deriv == 1 else out
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
     p = sol.problem
@@ -124,7 +152,7 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
     if isinstance(x, (float, int)):
         x = float(x)
         interval.require(x, "evaluation point")
-        nodes, cells = sol._scalar_cells
+        nodes, cells = sol._scalar[:2]
         coefs = cells[deriv][bisect_right(nodes, x)]
     else:
         interval.require(x, "evaluation point")
@@ -178,6 +206,28 @@ def _rhs_at_node(f: Callable[..., float], index: int, x: float, *u: float) -> fl
     return value
 
 
+def _rhs_at_nodes(
+    f: Callable[..., float], xs: np.ndarray, u: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``f(x_j)``, or ``f(x_j, u_j)`` when ``u`` is given, at every node, as an array.
+
+    One bare loop over Python floats.  If a call raises or a value is not
+    finite, the nodes are evaluated again from the first through
+    :func:`_rhs_at_node`, which raises the error for the first bad node.
+    """
+    try:
+        if u is None:
+            values = [f(x) for x in xs.tolist()]
+        else:
+            values = [f(x, v) for x, v in zip(xs.tolist(), u.tolist())]
+        if all(map(math.isfinite, values)):
+            return np.array(values)
+    except Exception:
+        pass
+    us = () if u is None else (u,)
+    return np.array([_rhs_at_node(f, j, x, *v) for j, (x, *v) in enumerate(zip(xs, *us))])
+
+
 def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     """Direct solve for problems with an explicit affine right-hand side.
 
@@ -186,6 +236,8 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     ``(G - diag(q) Psi) gamma = g + q s - (k/x) beta``, where ``Psi[j, i] =
     psi_i(x_j)``: one block LU solve from the basis generators
     (:meth:`CollocationBasis.solve_collocation`), with no n x n matrix formed.
+    ``g`` and then ``q`` are evaluated at the nodes in one loop each
+    (:func:`_rhs_at_nodes`).
     """
     aff = problem.affine
     if aff is None:
@@ -193,8 +245,8 @@ def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
     pts = basis.points.values
     s, slope = _shift(problem, pts)
     # g first: where F is infinite, the message names g's inf, not a NaN in q.
-    g = np.array([_rhs_at_node(aff.g, j, x) for j, x in enumerate(pts)])
-    q = np.array([_rhs_at_node(aff.q, j, x) for j, x in enumerate(pts)])
+    g = _rhs_at_nodes(aff.g, pts)
+    q = _rhs_at_nodes(aff.q, pts)
     gamma = basis.solve_collocation(q, g + q * s - slope)
     return RkhsSolution(basis, problem, gamma, method="linear")
 
@@ -227,7 +279,7 @@ def solve_nonlinear(
     if sweeps > 1:
         V = basis.node_values(gamma)
     for sweeps_used in range(2, sweeps + 1):
-        f = np.array([_rhs_at_node(F, l, x, V[l] + s[l]) for l, x in enumerate(pts)]) - slope
+        f = _rhs_at_nodes(F, pts, V + s) - slope
         gamma_next = factor.backward(factor.forward(f))
         if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")

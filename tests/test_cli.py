@@ -453,6 +453,24 @@ class TestSolveErrors:
             4, "", "error: forward sweep produced non-finite coefficients\n"
         )
 
+    @pytest.mark.parametrize("method", ["linear", "nonlinear"])
+    def test_overflowing_cell_table_is_a_numeric_error(self, tmp_path, method):
+        # gamma stays finite (1.5e307 at most), but its cell table overflows;
+        # a fresh process shows any floating-point warning on stderr.
+        path = write_config(tmp_path, rhs="1e308", exact=None)
+        src = os.path.dirname(os.path.dirname(rkhsivp.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "rkhsivp.cli", "solve", "--config", path,
+             "--n", "200", "--method", method],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert "RuntimeWarning" not in done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == (
+            4, "", "error: cell table of u is not finite (max |gamma| 1.45e+307): "
+            "the solution overflows\n"
+        )
+
     def test_grid_point_outside(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "ex1", "--grid", "1.5")
         assert code == 2

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from walk_reference import walk
-from rkhsivp import cli, integrate, problem_model, solve_problem
+from rkhsivp import cli, integrate, problem_model, rkhs_solver, solve_problem
 from rkhsivp.cli import load_problem_config
 from rkhsivp.rhs_expr import parse
 
@@ -73,3 +73,25 @@ def test_compiled_rhs_is_traced(tmp_path):
     assert value == walk(parse("-u^3 + sin(x)"), 0.5, 0.25)
     assert tracer.self_times()[1]["rhs_expr.evaluate"] == 1
     assert tracer.counts["problem_model.rhs.calls"] == 1
+
+
+def test_counted_rhs_sees_one_call_per_node_and_sweep(tmp_path):
+    # The loops over the nodes call F once per node in each sweep, so the
+    # counted rhs reads n times the sweeps, as ``problem_model.rhs.calls`` does.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"name": "p", "k": 2, "a": 0, "T": 1, "alpha": 1, "beta": 0,
+                                "rhs": "-u^3 + sin(x)"}))
+    tracer = tracing.Tracer()
+    problem = tracer.count_rhs(load_problem_config(str(path)))
+    uninstall = tracing.install(tracer)
+    try:
+        sol = rkhs_solver.solve_problem(problem, n=40, sweeps=50, tol=1e-12)
+        for x in (0.0, 0.25, 1.0):
+            rkhs_solver.evaluate(sol, x, 2)
+            sol(x)
+    finally:
+        uninstall()
+    assert sol.sweeps_used > 1 and sol.final_change <= 1e-12
+    assert tracer.counts["problem_model.rhs.calls"] == 40 * sol.sweeps_used
+    # The per-point path runs inside ``evaluate``, so each call is counted.
+    assert tracer.self_times()[1]["rkhs_solver.evaluate"] == 6

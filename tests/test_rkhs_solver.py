@@ -216,6 +216,18 @@ class TestNonlinearSweeps:
         value = evaluate(solve_problem(problem, n=10, method="nonlinear"), 0.5)
         assert math.isfinite(value) and value == pytest.approx(1e308 / 24, rel=1e-2)
 
+    @pytest.mark.parametrize("method,sweeps", [("linear", 1), ("nonlinear", 1),
+                                               ("nonlinear", 3)])
+    def test_overflowing_cell_table_is_numeric_error(self, method, sweeps):
+        # At n = 200 gamma reaches 1.5e307, and its cell table overflows;
+        # that is refused by name, with no floating-point warning.
+        problem = ProblemSpec(name="huge", k=2.0, interval=Interval(0.0, 1.0), alpha=0.0,
+                              beta=0.0, rhs=lambda x, u: 1e308,
+                              affine=AffineRhs(g=lambda x: 1e308, q=lambda x: 0.0))
+        with pytest.raises(NumericError, match=r"^cell table of u is not finite \(max \|gamma\| "
+                                               r"1\.45e\+307\): the solution overflows$"):
+            solve_problem(problem, n=200, method=method, sweeps=sweeps)
+
     @pytest.mark.parametrize("k,alpha,rhs", [
         (2.0, 1.0, "-u^3 + sin(x)"),
         (2.0, 0.0, "-4*(2*exp(u) + exp(u/2))"),
@@ -233,6 +245,109 @@ class TestNonlinearSweeps:
         for mine, ref in zip((a.gamma, *a.cells), (b.gamma, *b.cells)):
             assert mine.tobytes() == ref.tobytes()
         assert (a.sweeps_used, a.final_change.hex()) == (b.sweeps_used, b.final_change.hex())
+
+
+def affine_problem(g, q):
+    """k = 2 on [0, 1] with zero initial data and ``F = g + q u`` in affine form."""
+    return ProblemSpec(name="affine", k=2.0, interval=Interval(0.0, 1.0), alpha=0.0,
+                       beta=0.0, rhs=lambda x, u: g(x) + q(x) * u,
+                       affine=AffineRhs(g=g, q=q))
+
+
+def bad_after_first_sweep(bad, n):
+    """F = 1 for the first sweep's ``n`` calls, then ``bad(x)`` at every call."""
+    calls = []
+
+    def rhs(x, u):
+        calls.append(x)
+        return 1.0 if len(calls) <= n else bad(x)
+
+    return ProblemSpec(name="later", k=2.0, interval=Interval(0.0, 1.0), alpha=0.0,
+                       beta=0.0, rhs=rhs)
+
+
+def inf_at_3_then_sqrt(x):
+    """inf at the third of ten nodes, a math domain error from the seventh."""
+    return math.inf if 0.25 < x < 0.35 else math.sqrt(0.65 - x)
+
+
+def nan_at_3_then_overflow(x):
+    """NaN at the third of ten nodes, an ``OverflowError`` from the eighth."""
+    return math.nan if 0.25 < x < 0.35 else math.exp(1000.0 * x)
+
+
+class TestNodeLoops:
+    """The loops over the nodes (g and q, and F in sweeps 2 and later) fail
+    as a node-by-node evaluation does: the first bad node is named, with the
+    same type and message."""
+
+    LN = "logarithm of non-positive value -0.04999999999999993 in 'ln(0.55000000000000004-x)'"
+
+    @pytest.mark.parametrize("rhs", ["ln(0.55 - x) + u", "6 + ln(0.55 - x)*u"])
+    def test_domain_error_of_g_or_q(self, tmp_path, rhs):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "p", "k": 2, "a": 0, "T": 1, "alpha": 0,
+                                    "beta": 0, "rhs": rhs}))
+        problem = load_problem_config(str(path))
+        assert problem.affine is not None
+        message = f"right-hand side domain error at node 6, x=0.6: {self.LN}"
+        with pytest.raises(DomainError) as info:
+            solve_problem(problem, n=10)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("g,q,error,message", [
+        (lambda x: math.sqrt(0.55 - x), lambda x: -1.0, DomainError,
+         "right-hand side domain error at node 6, x=0.6: math domain error"),
+        (lambda x: 1.0, lambda x: math.inf if x > 0.55 else -1.0, NumericError,
+         "right-hand side returned inf at node 6, x=0.6"),
+        (lambda x: 1.0, lambda x: math.nan if x > 0.55 else -1.0, NumericError,
+         "right-hand side returned NaN at node 6, x=0.6"),
+        # g is checked first, although q fails at an earlier node.
+        (lambda x: math.inf if x > 0.75 else 1.0, lambda x: math.sqrt(0.15 - x),
+         NumericError, "right-hand side returned inf at node 8, x=0.8"),
+        (inf_at_3_then_sqrt, lambda x: -1.0, NumericError,
+         "right-hand side returned inf at node 3, x=0.3"),
+        (lambda x: -1.0, inf_at_3_then_sqrt, NumericError,
+         "right-hand side returned inf at node 3, x=0.3"),
+        (nan_at_3_then_overflow, lambda x: -1.0, NumericError,
+         "right-hand side returned NaN at node 3, x=0.3"),
+    ])
+    def test_linear_path_names_first_bad_node(self, g, q, error, message):
+        with pytest.raises(error) as info:
+            solve_problem(affine_problem(g, q), n=10)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_domain_error_of_later_sweep(self, tmp_path):
+        # One node: the first sweep evaluates F at u = alpha = 1, the second
+        # at a negative u.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "p", "k": 8, "a": 0, "T": 1, "alpha": 1,
+                                    "beta": 0, "rhs": "-9*pi*u - 2*pi*u*ln(u)"}))
+        u = "-0.43911280239292916"
+        message = (f"right-hand side domain error at node 1, x=1.0, u={u}: "
+                   f"logarithm of non-positive value {u} in 'ln(u)'")
+        with pytest.raises(DomainError) as info:
+            solve_problem(load_problem_config(str(path)), n=1, sweeps=50)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad,shown", [(inf_at_3_then_sqrt, "inf"),
+                                           (nan_at_3_then_overflow, "NaN")])
+    def test_later_sweep_names_first_bad_node(self, bad, shown):
+        with pytest.raises(NumericError) as info:
+            solve_problem(bad_after_first_sweep(bad, 10), n=10, sweeps=3)
+        assert str(info.value) == f"right-hand side returned {shown} at node 3, x=0.3"
+
+    @pytest.mark.parametrize("make,sweeps", [
+        (lambda f: affine_problem(f, lambda x: -1.0), 1),
+        (lambda f: affine_problem(lambda x: -1.0, f), 1),
+        (lambda f: bad_after_first_sweep(f, 10), 3),
+    ])
+    def test_overflow_error_propagates(self, make, sweeps):
+        # Not a domain error: a Python callable's OverflowError is its own.
+        problem = make(lambda x: math.exp(1000.0 * x))
+        with pytest.raises(OverflowError) as info:
+            solve_problem(problem, n=10, sweeps=sweeps)
+        assert type(info.value) is OverflowError and str(info.value) == "math range error"
 
 
 def manufactured_shifted(rhs_calls=None):
@@ -805,6 +920,97 @@ class TestPiecewiseEvaluation:
         for cells in sol.cells:
             with pytest.raises(ValueError):
                 cells[0, 0] = 1.0
+
+
+SCALAR_CONFIG = {"name": "cfg", "k": 1, "a": 1, "T": 11, "alpha": 1, "beta": 0.5,
+                 "rhs": "cos(x) - 0.1*x*sin(u)"}
+
+
+@pytest.fixture(scope="module")
+def scalar_solution(tmp_path_factory):
+    """``get(name, n)``: a cached solution of ex1-ex3 or ``SCALAR_CONFIG``."""
+    path = tmp_path_factory.mktemp("scalar") / "cfg.json"
+    path.write_text(json.dumps(SCALAR_CONFIG))
+    problems = {name: builtin(name) for name in ("ex1", "ex2", "ex3")}
+    problems["cfg"] = load_problem_config(str(path))
+    cache = {}
+
+    def get(name, n):
+        if (name, n) not in cache:
+            problem = problems[name]
+            try:
+                cache[name, n] = solve_problem(problem, n=n)
+            except DomainError:  # ex3 at n = 1 and 2: ln(u) of a negative u
+                basis = build_basis(build_w23_kernel(problem.interval), problem.k,
+                                    uniform_points(problem.interval, n))
+                gamma = np.random.default_rng(n).standard_normal(n)
+                cache[name, n] = RkhsSolution(basis, problem, gamma, method="nonlinear")
+        return cache[name, n]
+
+    return get
+
+
+class TestScalarPath:
+    """A number takes the per-point path of ``evaluate``; an array the
+    vectorized one.  They agree bit for bit, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(("ex1", "ex2", "ex3", "cfg")),
+        n=st.sampled_from((1, 2, 7, 64, 65, 200)),
+        kind=st.sampled_from(("node", "a", "T", "inside", "integer")),
+        index=st.integers(0, 10**6),
+        frac=st.floats(0.0, 1.0),
+        deriv=st.sampled_from((0, 1, 2)),
+    )
+    @example(name="cfg", n=65, kind="integer", index=5, frac=0.0, deriv=2)
+    @example(name="ex3", n=1, kind="T", index=0, frac=0.0, deriv=0)
+    def test_number_matches_array(self, scalar_solution, name, n, kind, index, frac, deriv):
+        sol = scalar_solution(name, n)
+        a, T = sol.problem.interval.a, sol.problem.interval.T
+        x = {
+            "node": lambda: sol.basis.points.values[index % n].item(),
+            "a": lambda: a,
+            "T": lambda: T,
+            "inside": lambda: min(T, a + frac * (T - a)),
+            "integer": lambda: float(math.ceil(a) + index % (math.floor(T) - math.ceil(a) + 1)),
+        }[kind]()
+        want = evaluate(sol, np.array([x]), deriv)[0].hex()
+        kinds = (float, np.float64, int) if x.is_integer() else (float, np.float64)
+        for make in kinds:
+            value = evaluate(sol, make(x), deriv)
+            assert type(value) is float
+            assert value.hex() == want
+            assert sol(make(x), deriv).hex() == want
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_solution_is_positive_zero(self, kernel01, unit_interval, sign):
+        # gamma = -0 leaves signed zeros in the cells; Horner starts from +0.
+        problem = ProblemSpec(name="zero", k=2.0, interval=unit_interval, alpha=0.0,
+                              beta=0.0, rhs=lambda x, u: 0.0)
+        basis = build_basis(kernel01, 2.0, uniform_points(unit_interval, 7))
+        for sol in (solve_problem(problem, n=7),
+                    RkhsSolution(basis, problem, sign * np.zeros(7), method="linear")):
+            xs = np.concatenate([[0.0, 0.3, 1.0], basis.points.values])
+            for deriv in (0, 1, 2):
+                assert evaluate(sol, xs, deriv).tobytes() == np.zeros(len(xs)).tobytes()
+                for x in xs.tolist():
+                    for point in (x, np.float64(x)) + ((int(x),) if x.is_integer() else ()):
+                        assert evaluate(sol, point, deriv).hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("x,shown", [
+        (math.nan, "nan"), (-0.5, "-0.5"), (1.25, "1.25"), (-1, "-1.0"), (2, "2.0"),
+    ])
+    @pytest.mark.parametrize("make", [lambda x: x, np.float64])
+    def test_errors(self, scalar_solution, x, shown, make):
+        sol = scalar_solution("ex1", 7)
+        for deriv in (0, 1, 2):
+            with pytest.raises(DomainError) as info:
+                evaluate(sol, make(x), deriv)
+            assert str(info.value) == f"evaluation point {shown} outside [0.0, 1.0]"
+        for point in (make(x), make(0.5), 0, 1):
+            with pytest.raises(ValueError, match="^deriv must be 0, 1 or 2, got 3$"):
+                evaluate(sol, point, 3)
 
 
 class TestResidual:
