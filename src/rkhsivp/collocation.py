@@ -206,10 +206,8 @@ class CollocationBasis:
         """
         gamma = np.asarray(gamma, dtype=float)
         out = np.zeros((len(self._left), len(gamma) + 1))
-        # A huge gamma overflows to inf; RkhsSolution refuses such a table.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.cumsum(self._left * gamma, axis=1, out=out[:, 1:])
-            out[:, :-1] += np.cumsum((self._right * gamma)[:, ::-1], axis=1)[:, ::-1]
+        np.cumsum(self._left * gamma, axis=1, out=out[:, 1:])
+        out[:, :-1] += np.cumsum((self._right * gamma)[:, ::-1], axis=1)[:, ::-1]
         return out.T
 
     def _product(self, P: np.ndarray, x: np.ndarray) -> np.ndarray:

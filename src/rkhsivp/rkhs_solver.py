@@ -128,14 +128,14 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
 
     The cell of ``x`` is the number of nodes ``x_i <= x``; one Horner pass
     over its row of ``sol.cells`` gives ``v``, and the shift is added.  A
-    Python float in ``[a, T]`` goes straight to a bisection and six float
-    operations over Python copies of the nodes and cells, with no numpy
-    call.  Any other number (an int or a numpy scalar) is checked, made a
-    float and takes the same steps; an array of points gives an array of
-    the same shape through the same operations, so all paths agree bit for
-    bit.
+    Python number (a float, an int or a numpy float) in ``[a, T]`` is made
+    a float and goes straight to a bisection and six float operations over
+    Python copies of the nodes and cells, with no numpy call; an array of
+    points gives an array of the same shape through the same operations,
+    so both paths agree bit for bit.
     """
-    if type(x) is float:
+    if isinstance(x, (float, int)):
+        x = float(x)
         nodes, cells, a, T, alpha, beta = sol._scalar
         if a <= x <= T and deriv in (0, 1, 2):
             t = x - a
@@ -149,25 +149,18 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
     p = sol.problem
     interval = p.interval
-    if isinstance(x, (float, int)):
-        x = float(x)
-        interval.require(x, "evaluation point")
-        nodes, cells = sol._scalar[:2]
-        coefs = cells[deriv][bisect_right(nodes, x)]
-    else:
-        interval.require(x, "evaluation point")
-        x = np.asarray(x, dtype=float)
-        cell = np.searchsorted(sol.basis.points.values, x, side="right")
-        coefs = [c[cell] for c in sol.cells[deriv]]
+    interval.require(x, "evaluation point")
+    x = np.asarray(x, dtype=float)
+    cell = np.searchsorted(sol.basis.points.values, x, side="right")
     t = x - interval.a
     out = 0.0
-    for c in coefs:
-        out = out * t + c
+    for c in sol.cells[deriv]:
+        out = out * t + c[cell]
     if deriv == 0:
         out = out + (p.alpha + p.beta * t)
     elif deriv == 1:
         out = out + p.beta
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return out if out.ndim else float(out)
 
 
 def _shift(problem: ProblemSpec, x) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +187,20 @@ def _rhs_at_node(f: Callable[..., float], index: int, x: float, *u: float) -> fl
     try:
         value = f(x, *u)
     except (ExpressionDomainError, ValueError) as exc:
-        at = "".join(f", u={v}" for v in u)
-        raise DomainError(
-            f"right-hand side domain error at node {index + 1}, x={x}{at}: {exc}"
-        ) from exc
+        raise _domain_error(exc, index, x, u) from exc
     if not math.isfinite(value):
-        shown = "NaN" if math.isnan(value) else value
-        raise NumericError(
-            f"right-hand side returned {shown} at node {index + 1}, x={x}"
-        )
+        raise _not_finite(value, index, x)
     return value
+
+
+def _domain_error(exc: Exception, index: int, x: float, u: tuple) -> DomainError:
+    at = "".join(f", u={v}" for v in u)
+    return DomainError(f"right-hand side domain error at node {index + 1}, x={x}{at}: {exc}")
+
+
+def _not_finite(value: float, index: int, x: float) -> NumericError:
+    shown = "NaN" if math.isnan(value) else value
+    return NumericError(f"right-hand side returned {shown} at node {index + 1}, x={x}")
 
 
 def _rhs_at_nodes(
@@ -211,21 +208,31 @@ def _rhs_at_nodes(
 ) -> np.ndarray:
     """``f(x_j)``, or ``f(x_j, u_j)`` when ``u`` is given, at every node, as an array.
 
-    One bare loop over Python floats.  If a call raises or a value is not
-    finite, the nodes are evaluated again from the first through
-    :func:`_rhs_at_node`, which raises the error for the first bad node.
+    One loop over Python floats calls ``f`` once per node and stops at the
+    first node that fails, with the error :func:`_rhs_at_node` raises there.
     """
+    xs = xs.tolist()
+    us = None if u is None else u.tolist()
+    values = []
     try:
-        if u is None:
-            values = [f(x) for x in xs.tolist()]
+        if us is None:
+            for x in xs:
+                value = f(x)
+                if not math.isfinite(value):
+                    break
+                values.append(value)
         else:
-            values = [f(x, v) for x, v in zip(xs.tolist(), u.tolist())]
-        if all(map(math.isfinite, values)):
-            return np.array(values)
-    except Exception:
-        pass
-    us = () if u is None else (u,)
-    return np.array([_rhs_at_node(f, j, x, *v) for j, (x, *v) in enumerate(zip(xs, *us))])
+            for x, v in zip(xs, us):
+                value = f(x, v)
+                if not math.isfinite(value):
+                    break
+                values.append(value)
+    except (ExpressionDomainError, ValueError) as exc:
+        j = len(values)
+        raise _domain_error(exc, j, xs[j], () if us is None else (us[j],)) from exc
+    if len(values) < len(xs):
+        raise _not_finite(value, len(values), xs[len(values)])
+    return np.array(values)
 
 
 def solve_linear(problem: ProblemSpec, basis: CollocationBasis) -> RkhsSolution:
@@ -263,7 +270,8 @@ def solve_nonlinear(
     = F(x_l, v_l + s_l) - (k/x_l) beta`` at the partial sum ``v_l`` built
     so far (zero at the first node).  Additional sweeps re-evaluate ``f`` at
     the nodal values ``Psi gamma``, solve ``L L^T gamma = f`` and stop once
-    the largest nodal change is at most ``tol``.
+    the largest nodal change is at most ``tol``; nodal values that overflow
+    raise ``NumericError`` naming the sweep.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -277,19 +285,31 @@ def solve_nonlinear(
     gamma = factor.backward(A)
     sweeps_used, final_change = 1, None
     if sweeps > 1:
-        V = basis.node_values(gamma)
+        V = _node_values(basis, gamma, 1)
     for sweeps_used in range(2, sweeps + 1):
         f = _rhs_at_nodes(F, pts, V + s) - slope
         gamma_next = factor.backward(factor.forward(f))
         if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")
-        V_next = basis.node_values(gamma_next)
+        V_next = _node_values(basis, gamma_next, sweeps_used)
         final_change = float(np.max(np.abs(V_next - V)))
         gamma, V = gamma_next, V_next
         if final_change <= tol:
             break
     return RkhsSolution(basis, problem, gamma, method="nonlinear",
                         sweeps_used=sweeps_used, final_change=final_change)
+
+
+def _node_values(basis: CollocationBasis, gamma: np.ndarray, sweep: int) -> np.ndarray:
+    """``Psi gamma`` after sweep ``sweep``; values that overflow raise ``NumericError``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        V = basis.node_values(gamma)
+    if not np.all(np.isfinite(V)):
+        raise NumericError(
+            f"nodal values after sweep {sweep} are not finite (max |gamma| "
+            f"{np.max(np.abs(gamma)):.3g}): the solution overflows"
+        )
+    return V
 
 
 def solve_problem(

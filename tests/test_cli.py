@@ -453,22 +453,28 @@ class TestSolveErrors:
             4, "", "error: forward sweep produced non-finite coefficients\n"
         )
 
-    @pytest.mark.parametrize("method", ["linear", "nonlinear"])
-    def test_overflowing_cell_table_is_a_numeric_error(self, tmp_path, method):
-        # gamma stays finite (1.5e307 at most), but its cell table overflows;
-        # a fresh process shows any floating-point warning on stderr.
-        path = write_config(tmp_path, rhs="1e308", exact=None)
+    @pytest.mark.parametrize("T,args,failure", [
+        (1, ["--n", "200", "--method", "linear"], "cell table of u is not finite (max "
+         "|gamma| 1.45e+307)"),
+        (1, ["--n", "200", "--method", "nonlinear"], "cell table of u is not finite (max "
+         "|gamma| 1.45e+307)"),
+        (10, ["--n", "5", "--method", "nonlinear", "--sweeps", "2"], "nodal values after "
+         "sweep 1 are not finite (max |gamma| 1.33e+306)"),
+    ])
+    def test_overflowing_solution_is_a_numeric_error(self, tmp_path, T, args, failure):
+        # gamma stays finite, but its cell table (on [0, 1]) or the nodal
+        # values a second sweep starts from (on [0, 10]) overflow; a fresh
+        # process shows any floating-point warning on stderr.
+        path = write_config(tmp_path, rhs="1e308", exact=None, T=T)
         src = os.path.dirname(os.path.dirname(rkhsivp.__file__))
         done = subprocess.run(
-            [sys.executable, "-m", "rkhsivp.cli", "solve", "--config", path,
-             "--n", "200", "--method", method],
+            [sys.executable, "-m", "rkhsivp.cli", "solve", "--config", path, *args],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert "RuntimeWarning" not in done.stderr
         assert (done.returncode, done.stdout, done.stderr) == (
-            4, "", "error: cell table of u is not finite (max |gamma| 1.45e+307): "
-            "the solution overflows\n"
+            4, "", f"error: {failure}: the solution overflows\n"
         )
 
     def test_grid_point_outside(self, capsys):
