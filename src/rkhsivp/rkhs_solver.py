@@ -128,11 +128,11 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
 
     The cell of ``x`` is the number of nodes ``x_i <= x``; one Horner pass
     over its row of ``sol.cells`` gives ``v``, and the shift is added.  A
-    Python number (a float, an int or a numpy float) in ``[a, T]`` is made
-    a float and goes straight to a bisection and six float operations over
-    Python copies of the nodes and cells, with no numpy call; an array of
-    points gives an array of the same shape through the same operations,
-    so both paths agree bit for bit.
+    Python number (a float, which includes ``np.float64``, or an int) in
+    ``[a, T]`` is made a float and goes straight to a bisection and six
+    float operations over Python copies of the nodes and cells, with no
+    numpy call; an array of points gives an array of the same shape
+    through the same operations, so both paths agree bit for bit.
     """
     if isinstance(x, (float, int)):
         x = float(x)

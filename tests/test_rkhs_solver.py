@@ -340,6 +340,18 @@ class TestNodeLoops:
             solve_problem(load_problem_config(str(path)), n=1, sweeps=50)
         assert str(info.value) == message
 
+    def test_later_sweep_domain_error_names_node_and_u(self):
+        def bad(x):
+            if x > 0.55:
+                raise ValueError("bad")
+            return 1.0
+
+        with pytest.raises(DomainError) as info:
+            solve_problem(bad_after_first_sweep(bad, 10), n=10, sweeps=3)
+        assert str(info.value) == (
+            "right-hand side domain error at node 6, x=0.6, u=0.05995889994208597: bad"
+        )
+
     @pytest.mark.parametrize("bad,shown", [(inf_at_3_then_sqrt, "inf"),
                                            (nan_at_3_then_overflow, "NaN")])
     def test_later_sweep_names_first_bad_node(self, bad, shown):
