@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from typing import Callable, Optional, Sequence, TextIO, Union
@@ -465,10 +466,26 @@ _EXIT_CODES = {ExpressionSyntaxError: 3, ConfigError: 2, ValueError: 2,
                NumericError: 4, DomainError: 5}
 
 
+def _join_grid(argv: Sequence[str]) -> list[str]:
+    """``--grid -1.5,0.5`` as ``--grid=-1.5,0.5``.
+
+    argparse takes a value that starts with ``-`` and is not one negative
+    number for an option, so a grid that starts below 0 is joined to its
+    option before parsing.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -239,7 +239,8 @@ class CollocationBasis:
         ``i < l``, ``psibar_i(x_l) = M[l] . W[:, i]`` and ``L[l, i] = U[l] .
         W[:, i]``, so ``t = sum_i A_i W[:, i]`` over the blocks done carries
         both the partial sums and the substitution terms into a block; ``acc``
-        gathers them within it, each sum starting from ``s_l``.
+        gathers them within it, each sum starting from ``s_l``.  ``f`` gets
+        ``u_l`` as a Python float, and row ``l`` is solved in Python floats.
         """
         factor = self.gram_factor
         A, t = np.empty(self.n), np.zeros(len(factor.W))
@@ -248,9 +249,9 @@ class CollocationBasis:
                 W, b = factor.W[:, J], len(LJ)
                 acc = np.concatenate([self.M[J] @ t + s[J], self.U[J] @ t])
                 shares = np.hstack([np.tril(self.M[J] @ W, -1).T, np.tril(LJ, -1).T])
-                d = np.diag(LJ)
+                d = np.diag(LJ).tolist()
                 for i, l in enumerate(range(J.start, J.stop)):
-                    A[l] = a = (f(l, acc[i]) - acc[b + i]) / d[i]
+                    A[l] = a = (f(l, acc.item(i)) - acc.item(b + i)) / d[i]
                     acc += a * shares[i]  # node l's part of the later nodes' sums and terms
                 t += W @ A[J]
         if not np.all(np.isfinite(A)):
@@ -276,9 +277,9 @@ class CollocationBasis:
         ``NumericError``.
         """
         g = np.asarray(g, dtype=float)
-        P = self.U - np.asarray(q, dtype=float)[:, None] * self.M
-        # Overflow (such as an infinite k) shows as a non-finite block.
+        # Overflow (such as an infinite k or a huge q) shows as a non-finite block.
         with np.errstate(invalid="ignore", over="ignore"):
+            P = self.U - np.asarray(q, dtype=float)[:, None] * self.M
             scale = np.max(np.abs(np.einsum("ip,pi->i", P, self._left)))  # max |K_ii|
             gamma = self._block_lu_solve(P, g)
             for _ in range(_REFINE_STEPS):

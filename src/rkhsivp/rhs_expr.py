@@ -49,10 +49,17 @@ __all__ = [
 
 VARIABLES = ("x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-# The right-hand side of a call's statement in compiled code (see _RUNTIME).
-_CALLS = {"exp": "_saturating(exp, {0})", "ln": "_ln({0}, {n})", "sin": "_trig(sin, {0})",
-          "cos": "_trig(cos, {0})", "sinh": "_saturating(sinh, {0})",
-          "cosh": "_saturating(cosh, {0})", "sqrt": "_sqrt({0}, {n})", "abs": "abs({0})"}
+# The right-hand side of a call's statement in compiled code, from the value
+# ``{0}`` of its operand and the name ``{n}`` of the node (see _RUNTIME): the
+# plain ``math`` call where the helper would make exactly that call and it
+# cannot raise, the helper otherwise.  NaN fails every guard.
+_CALLS = {"exp": "exp({0}) if {0} < 709.0 else _saturating(exp, {0})",
+          "ln": "log({0}) if {0} > 0.0 else _ln({0}, {n})",
+          "sin": "sin({0}) if -1e308 < {0} < 1e308 else _trig(sin, {0})",
+          "cos": "cos({0}) if -1e308 < {0} < 1e308 else _trig(cos, {0})",
+          "sinh": "sinh({0}) if -709.0 < {0} < 709.0 else _saturating(sinh, {0})",
+          "cosh": "cosh({0}) if -709.0 < {0} < 709.0 else _saturating(cosh, {0})",
+          "sqrt": "sqrt({0}) if {0} >= 0.0 else _sqrt({0}, {n})", "abs": "abs({0})"}
 FUNCTIONS = tuple(_CALLS)
 
 # Parsed trees are at most this high (each operator of a chain counts) and the
@@ -306,11 +313,30 @@ def _saturating(f, v: float) -> float:
 
 _RUNTIME = {"_div": _div, "_pow": _pow, "_ln": _ln, "_sqrt": _sqrt, "_trig": _trig,
             "_saturating": _saturating, "abs": abs, "sin": math.sin, "cos": math.cos,
-            "exp": math.exp, "sinh": math.sinh, "cosh": math.cosh}
-# The right-hand side of each node's statement, from the values of its
-# operands and the name ``{n}`` of the node itself.
+            "exp": math.exp, "sinh": math.sinh, "cosh": math.cosh, "log": math.log,
+            "sqrt": math.sqrt, "pow": math.pow}
+# The same for the binary operators, from the values of both operands.  A
+# truthy divisor is neither 0.0 nor -0.0 (NaN is truthy and divides).
 _BINARY = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
-           "/": "_div({0}, {1}, {n})", "^": "_pow({0}, {1}, {n})"}
+           "/": "{0} / {1} if {1} else _div({0}, {1}, {n})", "^": "_pow({0}, {1}, {n})"}
+
+
+def _power(exponent: Expr) -> str:
+    """The template of ``l ^ r`` for the exponent tree ``r``.
+
+    For a positive finite literal ``r`` it calls ``math.pow`` while ``|l| <
+    2^(1020/max(r, 1))``, so that the power stays near 2^1020 at most and
+    cannot overflow; a fractional ``r`` also needs ``l >= 0.0`` (``-0.0``
+    passes, as in ``_pow``).  Every other power calls ``_pow``.
+    """
+    kind = type(exponent)
+    r = (exponent.value if kind is Num
+         else CONSTANTS.get(exponent.ident) if kind is Name else None)
+    if r is None or not 0.0 < r < math.inf:
+        return _BINARY["^"]
+    bound = 2.0 ** (1020.0 / max(r, 1.0))
+    low = f"-{bound!r} <" if r.is_integer() else "0.0 <="
+    return f"pow({{0}}, {{1}}) if {low} {{0}} < {bound!r} else _pow({{0}}, {{1}}, {{n}})"
 
 
 def _kids(node: Expr) -> tuple:
@@ -348,12 +374,20 @@ def compile_expr(expr: Expr) -> Callable[[float, float], float]:
 
     ``f`` runs one statement per distinct node, in the order of a recursive
     walk that skips repeated subtrees, so it needs no recursion however high
-    the tree is.  ``+``, ``-``, ``*``, negation and ``abs`` are inline; the
-    other operators call helpers that make the walk's checks, so ``f``
-    computes the same floats and raises the same domain errors as it.
+    the tree is.  A node is repeated when it is the same object as an
+    earlier one, or when it applies the same operator to the same operand
+    values (``ln(u)`` written twice); it then reuses the earlier value.
+    ``+``, ``-``, ``*``, negation and ``abs`` are inline.  Each other
+    operator is one conditional expression: the plain ``math`` call (or
+    ``/``) where its helper would make exactly that call and it cannot
+    raise, the helper elsewhere; NaN always takes the helper.  The helpers
+    make the walk's checks, so ``f`` computes the same floats as the walk
+    and raises the same domain errors: the first node that fails is the
+    first with its operator and operands, which the walk reaches first too.
     """
     namespace = dict(_RUNTIME)
     values: dict[int, str] = {}  # id(node) -> its name or literal in the source
+    emitted: dict[tuple, str] = {}  # (template, operands) -> the name computed
     body = []
     for node in _postorder(expr):
         kind = type(node)
@@ -367,14 +401,17 @@ def compile_expr(expr: Expr) -> Callable[[float, float], float]:
                 namespace[text] = value
             values[id(node)] = text
         else:
-            name = f"v{len(body)}"
-            template = (_BINARY[node.op] if kind is BinOp
-                        else "-{0}" if kind is Neg else _CALLS[node.func])
-            if "{n}" in template:
-                namespace["n" + name] = node
-            operands = (values[id(k)] for k in _kids(node))
-            body.append(f"    {name} = {template.format(*operands, n='n' + name)}\n")
-            values[id(node)] = name
+            if kind is BinOp:
+                template = _power(node.right) if node.op == "^" else _BINARY[node.op]
+            else:
+                template = "-{0}" if kind is Neg else _CALLS[node.func]
+            key = (template, *(values[id(k)] for k in _kids(node)))
+            if key not in emitted:
+                name = emitted[key] = f"v{len(body)}"
+                if "{n}" in template:
+                    namespace["n" + name] = node
+                body.append(f"    {name} = {template.format(*key[1:], n='n' + name)}\n")
+            values[id(node)] = emitted[key]
     source = "def f(x, u):\n" + "".join(body) + f"    return {values[id(expr)]}\n"
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["f"]

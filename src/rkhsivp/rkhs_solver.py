@@ -138,13 +138,17 @@ def evaluate(sol: RkhsSolution, x, deriv: int = 0):
         x = float(x)
         nodes, cells, a, T, alpha, beta = sol._scalar
         if a <= x <= T and deriv in (0, 1, 2):
-            t = x - a
-            out = 0.0
-            for c in cells[deriv][bisect_right(nodes, x)]:
-                out = out * t + c
+            t, j = x - a, bisect_right(nodes, x)
+            # The array path's Horner loop, written out: it starts from 0.0.
             if deriv == 0:
-                return out + (alpha + beta * t)
-            return out + beta if deriv == 1 else out
+                c0, c1, c2, c3, c4, c5 = cells[0][j]
+                return ((((((0.0 * t + c0) * t + c1) * t + c2) * t + c3) * t + c4) * t + c5
+                        + (alpha + beta * t))
+            if deriv == 1:
+                c0, c1, c2, c3, c4 = cells[1][j]
+                return (((((0.0 * t + c0) * t + c1) * t + c2) * t + c3) * t + c4) + beta
+            c0, c1, c2, c3 = cells[2][j]
+            return ((((0.0 * t + c0) * t + c1) * t + c2) * t + c3)
     if deriv not in (0, 1, 2):
         raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
     p = sol.problem
@@ -281,14 +285,16 @@ def solve_nonlinear(
     pts = basis.points.values
     s, slope = _shift(problem, pts)
     factor = basis.gram_factor
-    A = basis.forward_sweep(s, lambda l, u: _rhs_at_node(F, l, pts[l], u) - slope[l])
+    xs, sl = pts.tolist(), slope.tolist()
+    A = basis.forward_sweep(s, lambda l, u: _rhs_at_node(F, l, xs[l], u) - sl[l])
     gamma = factor.backward(A)
     sweeps_used, final_change = 1, None
     if sweeps > 1:
         V = _node_values(basis, gamma, 1)
     for sweeps_used in range(2, sweeps + 1):
         f = _rhs_at_nodes(F, pts, V + s) - slope
-        gamma_next = factor.backward(factor.forward(f))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            gamma_next = factor.backward(factor.forward(f))
         if not np.all(np.isfinite(gamma_next)):
             raise NumericError("sweep produced non-finite coefficients")
         V_next = _node_values(basis, gamma_next, sweeps_used)

@@ -477,6 +477,34 @@ class TestSolveErrors:
             4, "", f"error: {failure}: the solution overflows\n"
         )
 
+    def test_huge_linear_coefficient_is_a_numeric_error(self, capsys, tmp_path):
+        # q = 1e300 overflows the rows U - q M of the linear system; the
+        # block check refuses them, with no floating-point warning.
+        path = write_config(tmp_path, rhs="1e300*u", exact=None, T=100)
+        code, out, err = run(capsys, "solve", "--config", path, "--n", "7", "--grid", "50,100")
+        assert (code, out, err) == (
+            4, "", "error: collocation solve produced non-finite values at nodes 1..7\n"
+        )
+
+    def test_later_sweep_overflow_is_a_numeric_error(self, capsys, tmp_path):
+        # The sweeps drift to 1e300; the substitution of sweep 9 overflows
+        # and its nodal values are refused, with no floating-point warning.
+        path = write_config(tmp_path, k=0, a=-2, T=8, alpha=2, beta=-1,
+                            rhs="(u-(x-1e+300))", exact=None)
+        code, out, err = run(capsys, "converge", "--config", path, "--n-list", "3",
+                             "--sweeps", "50", "--method", "nonlinear")
+        assert (code, out) == (4, "")
+        assert err == ("error: nodal values after sweep 9 are not finite (max |gamma| "
+                       "2.57e+306): the solution overflows\n")
+
+    @pytest.mark.parametrize("grid", [["--grid", "-1.5,0.5"], ["--grid", "-.5"]])
+    def test_negative_grid_with_a_space(self, capsys, tmp_path, grid):
+        path = write_config(tmp_path, k=0, a=-2, alpha=1, rhs="-u", exact="cos(x+2)")
+        spaced = run(capsys, "solve", "--config", path, "--n", "20", *grid)
+        joined = run(capsys, "solve", "--config", path, "--n", "20", "=".join(grid))
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1] and spaced[1].count("\n") == 1 + grid[1].count(",") + 1
+
     def test_grid_point_outside(self, capsys):
         code, _, err = run(capsys, "solve", "--problem", "ex1", "--grid", "1.5")
         assert code == 2

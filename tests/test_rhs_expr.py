@@ -279,9 +279,32 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _around(v):
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+# The operands at and beside every guard of compiled code: signed zeros, NaN
+# and the infinities; exp, sinh and cosh near overflow; sin and cos at the
+# ends of the floats; and |l| = 2^(1020/r), the bound of l^r for a literal r
+# (2^1020 for r <= 1), and 2^(1024/r), where l^r overflows.
+_BOUNDS = (708.9, 709.0, 709.5, 710.0, 1e154, 1e308, 2.0 ** 1020, 1.7976931348623157e308,
+           *(2.0 ** (p / r) for r in (2.0, 3.0, 1.5) for p in (1020, 1024)))
+EDGES = (0.0, -0.0, math.nan, math.inf, -math.inf,
+         *(s * v for b in _BOUNDS for v in _around(b) for s in (1.0, -1.0)))
+OPERANDS = st.one_of(st.floats(-3, 3), st.sampled_from(EDGES))
+# The literal exponents of the guarded powers (the first seven), and some
+# that always take the helper.
+EXPONENTS = ("2", "3", "1.5", "0.5", "1", "1024.5", "1e17", "0", "(0-2)", "(0-0.5)", "x")
+
+
 class TestCompiled:
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(tree=TREES, x=st.floats(-3, 3), u=st.floats(-3, 3))
+    @given(tree=TREES, x=OPERANDS, u=OPERANDS)
+    # A subtree repeated by structure, not identity, runs once; it fails
+    # first where the walk does, and names the same text.
+    @example(tree=parse("ln(u)+ln(u)*x"), x=2.0, u=-1.0)
+    @example(tree=parse("1/(x-u)+1/(x-u)"), x=1.5, u=1.5)
+    @example(tree=parse("sqrt(u-x)*x^0.5 + sqrt(u-x)"), x=-0.0, u=-1.0)
     @example(tree=parse("ln(u)*sqrt(x) - abs(x - 3)/(u-u)"), x=1.3, u=0.0)
     @example(tree=parse("sinh(exp(x*800))^0.5 - (0-2)^x + 0^(0-u)"), x=1.5, u=1.0)
     # Each IEEE edge once: a signed overflow of ^ and sinh, a trig of inf.
@@ -293,6 +316,33 @@ class TestCompiled:
         # each once; the first failure must still be the walk's.
         for t in (tree, derivative(tree, "x")):
             assert _outcome(evaluate, t, x, u) == _outcome(walk, t, x, u)
+
+    @pytest.mark.parametrize("tree", [
+        *(parse(f"{f}(u)") for f in FUNCTIONS), parse("x/u"), parse("u/x"),
+        *(parse(f"u^{r}") for r in EXPONENTS), parse("u^pi"), parse("x^u"),
+        # Negative and infinite literals, which the parser never makes.
+        *(BinOp("^", Name("u"), Num(r)) for r in (-2.0, -0.5, -0.0, math.inf)),
+    ], ids=pretty)
+    def test_guards_equal_the_walk_at_their_bounds(self, tree):
+        for t in (tree, derivative(tree, "u")):
+            f = compile_expr(t)
+            for x in (-2.0, -0.0, 0.0, 3.0, math.nan):
+                for u in EDGES:
+                    assert _outcome(f, x, u) == _outcome(walk, t, x, u), (x, u)
+
+    @pytest.mark.parametrize("text,names", [
+        ("ln(u)+ln(u)*x", 3),  # ln, *, +
+        ("1/(x-u)+1/(x-u)", 3),  # -, /, +
+        ("(1+0.75*x^2)^2 + 1/(1+0.75*x^2)", 6),
+        ("-(u^3) - -(u^3)", 3),
+        ("x^2 + x^2.0 + x^(2)", 3),  # one power, two sums
+        ("-0.0*u + -0.0*u", 3),
+        ("exp(1e999) + exp(1e999)", 3),  # an infinite literal is its own constant
+    ])
+    def test_shares_repeated_structure(self, text, names):
+        # One local per distinct (operator, operands), besides x and u.
+        f = compile_expr(parse(text))
+        assert f.__code__.co_nlocals == 2 + names
 
     def test_one_statement_per_shared_node(self):
         # 2,000 levels of one shared node: 2^2000 paths, far past the stack.

@@ -216,6 +216,24 @@ class TestNonlinearSweeps:
         value = evaluate(solve_problem(problem, n=10, method="nonlinear"), 0.5)
         assert math.isfinite(value) and value == pytest.approx(1e308 / 24, rel=1e-2)
 
+    def test_later_sweep_overflow_is_numeric_error(self):
+        # F jumps to 1e308 after the first sweep's 5 calls: the second
+        # sweep's substitution overflows on the way, and the nodal values it
+        # leads to are refused, with no floating-point warning.
+        calls = []
+
+        def rhs(x, u):
+            calls.append(x)
+            return 1.0 if len(calls) <= 5 else 1e308
+
+        problem = ProblemSpec(name="jump", k=2.0, interval=Interval(0.0, 100.0), alpha=0.0,
+                              beta=0.0, rhs=rhs)
+        with pytest.raises(NumericError) as info:
+            solve_problem(problem, n=5, method="nonlinear", sweeps=2)
+        assert str(info.value) == ("nodal values after sweep 2 are not finite (max |gamma| "
+                                   "1.33e+305): the solution overflows")
+        assert len(calls) == 10
+
     @pytest.mark.parametrize("T,n,method,sweeps,failure", [
         (1.0, 200, "linear", 1, "cell table of u is not finite (max |gamma| 1.45e+307)"),
         (1.0, 200, "nonlinear", 1, "cell table of u is not finite (max |gamma| 1.45e+307)"),
@@ -1008,6 +1026,20 @@ class TestScalarPath:
             assert type(value) is float
             assert value.hex() == want
             assert sol(make(x), deriv).hex() == want
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "cfg"])
+    @pytest.mark.parametrize("n", [1, 7, 64, 65])
+    def test_every_node_and_cell(self, scalar_solution, name, n):
+        # a, T, every node, and three points inside every cell.
+        sol = scalar_solution(name, n)
+        a, T = sol.problem.interval.a, sol.problem.interval.T
+        nodes = sol.basis.points.values
+        ends = np.concatenate([[a], nodes])
+        inside = [ends[:-1] + f * np.diff(ends) for f in (0.25, 0.5, 0.875)]
+        xs = np.concatenate([[a, T], nodes, *inside])
+        for deriv in (0, 1, 2):
+            want = [v.hex() for v in evaluate(sol, xs, deriv).tolist()]
+            assert [evaluate(sol, x, deriv).hex() for x in xs.tolist()] == want
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_zero_solution_is_positive_zero(self, kernel01, unit_interval, sign):
