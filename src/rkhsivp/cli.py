@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 import time
 from typing import Callable, Optional, Sequence, TextIO, Union
@@ -475,7 +474,7 @@ def _join_grid(argv: Sequence[str]) -> list[str]:
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--grid" and re.match(r"-[\d.]", arg):
+        if out and out[-1] == "--grid" and arg[:1] == "-" and arg[1:2] in "0123456789.":
             out[-1] = f"--grid={arg}"
         else:
             out.append(arg)

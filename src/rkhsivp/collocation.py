@@ -239,8 +239,7 @@ class CollocationBasis:
         ``i < l``, ``psibar_i(x_l) = M[l] . W[:, i]`` and ``L[l, i] = U[l] .
         W[:, i]``, so ``t = sum_i A_i W[:, i]`` over the blocks done carries
         both the partial sums and the substitution terms into a block; ``acc``
-        gathers them within it, each sum starting from ``s_l``.  ``f`` gets
-        ``u_l`` as a Python float, and row ``l`` is solved in Python floats.
+        gathers them within it, each sum starting from ``s_l``.
         """
         factor = self.gram_factor
         A, t = np.empty(self.n), np.zeros(len(factor.W))
@@ -249,9 +248,9 @@ class CollocationBasis:
                 W, b = factor.W[:, J], len(LJ)
                 acc = np.concatenate([self.M[J] @ t + s[J], self.U[J] @ t])
                 shares = np.hstack([np.tril(self.M[J] @ W, -1).T, np.tril(LJ, -1).T])
-                d = np.diag(LJ).tolist()
+                d = np.diag(LJ)
                 for i, l in enumerate(range(J.start, J.stop)):
-                    A[l] = a = (f(l, acc.item(i)) - acc.item(b + i)) / d[i]
+                    A[l] = a = (f(l, acc[i]) - acc[b + i]) / d[i]
                     acc += a * shares[i]  # node l's part of the later nodes' sums and terms
                 t += W @ A[J]
         if not np.all(np.isfinite(A)):

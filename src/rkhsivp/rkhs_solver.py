@@ -285,8 +285,7 @@ def solve_nonlinear(
     pts = basis.points.values
     s, slope = _shift(problem, pts)
     factor = basis.gram_factor
-    xs, sl = pts.tolist(), slope.tolist()
-    A = basis.forward_sweep(s, lambda l, u: _rhs_at_node(F, l, xs[l], u) - sl[l])
+    A = basis.forward_sweep(s, lambda l, u: _rhs_at_node(F, l, pts[l], u) - slope[l])
     gamma = factor.backward(A)
     sweeps_used, final_change = 1, None
     if sweeps > 1:
